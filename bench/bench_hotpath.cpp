@@ -90,8 +90,11 @@ int reps_for(u32 history) { return history <= 2000 ? 5 : history <= 20000 ? 3 : 
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "Hot paths — incremental graph, ordering, decision rules", 1);
-  const u32 max_history = static_cast<u32>(h.args.get_int("max-history", 100000));
-  const u32 rounds = static_cast<u32>(h.args.get_int("rounds", 64));
+  u32 max_history = 100000;
+  u32 rounds = 64;
+  h.opts.add_u32("max-history", &max_history, "cap per-config history length");
+  h.opts.add_u32("rounds", &rounds, "observation rounds per trial");
+  if (const std::optional<int> code = h.parse()) return *code;
 
   const std::vector<u32> ns = {8, 32, 128};
   std::vector<u32> histories;

@@ -40,7 +40,9 @@ struct Cluster {
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E10 — ABD simulation of the append memory (§4)", 1);
-  const u32 big_history = static_cast<u32>(h.args.get_int("appends", 10000));
+  u32 big_history = 10000;
+  h.opts.add_u32("appends", &big_history, "records of history behind the steady-state read rows");
+  if (const std::optional<int> code = h.parse()) return *code;
 
   const mp::AbdConfig legacy{.delta_reads = false, .max_pipeline = 1};
 

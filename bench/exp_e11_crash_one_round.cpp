@@ -12,6 +12,7 @@ using namespace amm;
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E11 — crash agreement in one round (§3)", 1);
+  if (const std::optional<int> code = h.parse()) return *code;
 
   Table table({"n", "t(crash)", "crash round", "rounds run", "agreement", "validity"});
   for (const u32 n : {5u, 10u, 20u}) {

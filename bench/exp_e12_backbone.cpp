@@ -54,6 +54,7 @@ double measure_common_prefix(u32 n, double lambda, u64 seed) {
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E12 — backbone properties of the chain (§5.2 mechanism)", 100);
+  if (const std::optional<int> code = h.parse()) return *code;
 
   const u32 n = 20;
   const u32 k = 81;
@@ -73,7 +74,7 @@ int main(int argc, char** argv) {
       double growth_sum = 0.0, quality_sum = 0.0, divergence_sum = 0.0;
       usize runs = 0;
       exp::collect_stats(
-          h.pool, h.seed ^ (static_cast<u64>(lambda * 1000) * 17 + t), h.trials,
+          h.pool(), h.seed ^ (static_cast<u64>(lambda * 1000) * 17 + t), h.trials,
           [&](usize, Rng& rng) {
             const proto::Outcome out = proto::run_chain_slotted(params, rng);
             if (!out.terminated) return 0.0;

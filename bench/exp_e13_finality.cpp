@@ -24,6 +24,7 @@ using namespace amm;
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E13 — asynchrony destroys agreement & finality (Theorem 5.1)",
                  200);
+  if (const std::optional<int> code = h.parse()) return *code;
 
   const u32 n = 12;
   const u32 k = 41;
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
     double replaced_sum = 0.0;
     usize flips = 0, runs = 0;
     const auto est = exp::estimate_rate(
-        h.pool, h.seed ^ static_cast<u64>(staleness * 10), h.trials, [&](usize, Rng& rng) {
+        h.pool(), h.seed ^ static_cast<u64>(staleness * 10), h.trials, [&](usize, Rng& rng) {
           const proto::FinalityResult res = proto::run_chain_finality(params, staleness, rng);
           {
             std::scoped_lock lock(m);

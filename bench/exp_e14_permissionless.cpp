@@ -30,6 +30,7 @@ std::vector<double> power_split(u32 n, u32 t, double alpha) {
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E14 — permissionless (hash-power) setting (§5 extension)", 150);
+  if (const std::optional<int> code = h.parse()) return *code;
 
   const u32 n = 20;
   const u32 k = 101;
@@ -56,13 +57,13 @@ int main(int argc, char** argv) {
       dp.weights = power_split(n, t, alpha);
 
       const auto chain_est = exp::estimate_rate(
-          h.pool, h.seed ^ (t * 1000 + static_cast<u64>(alpha * 100)), h.trials,
+          h.pool(), h.seed ^ (t * 1000 + static_cast<u64>(alpha * 100)), h.trials,
           [&](usize, Rng& rng) {
             const auto out = proto::run_chain_continuous(cp, rng);
             return out.terminated && out.validity(cp.scenario);
           });
       const auto dag_est = exp::estimate_rate(
-          h.pool, h.seed ^ (t * 1000 + static_cast<u64>(alpha * 100) + 7), h.trials,
+          h.pool(), h.seed ^ (t * 1000 + static_cast<u64>(alpha * 100) + 7), h.trials,
           [&](usize, Rng& rng) {
             const auto res = proto::run_dag_continuous(dp, rng);
             return res.outcome.terminated && res.outcome.validity(dp.scenario);

@@ -17,6 +17,7 @@ using namespace amm;
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E15 — Nakamoto double-spend race (§1.2/§5.2 context)", 2000);
+  if (const std::optional<int> code = h.parse()) return *code;
 
   const u32 n = 20;
 
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
       params.scenario.t = t;
       params.confirmation_depth = depth;
       const auto est = exp::estimate_rate(
-          h.pool, h.seed ^ (t * 100 + depth), h.trials, [&](usize, Rng& rng) {
+          h.pool(), h.seed ^ (t * 100 + depth), h.trials, [&](usize, Rng& rng) {
             const proto::NakamotoResult res = proto::run_double_spend_race(params, rng);
             return res.terminated && res.reversed;
           });

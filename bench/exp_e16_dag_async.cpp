@@ -19,6 +19,7 @@ using namespace amm;
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E16 — temporary asynchrony vs DAG agreement (§5.3 remark)", 200);
+  if (const std::optional<int> code = h.parse()) return *code;
 
   const u32 n = 20;
   const u32 t = 8;  // t/n = 0.4: safely inside the synchronous DAG's bound
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
     double dump_sum = 0.0, gap_sum = 0.0;
     usize runs = 0;
     const auto est = exp::estimate_rate(
-        h.pool, h.seed ^ static_cast<u64>(delay * 10), h.trials, [&](usize, Rng& rng) {
+        h.pool(), h.seed ^ static_cast<u64>(delay * 10), h.trials, [&](usize, Rng& rng) {
           const proto::DagResult res = proto::run_dag_continuous(params, rng);
           {
             std::scoped_lock lock(m);

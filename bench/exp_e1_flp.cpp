@@ -16,8 +16,10 @@ using namespace amm;
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E1 — asynchronous impossibility (Theorem 2.1)", 1);
+  u32 n = 3;
+  h.opts.add_u32("n", &n, "processes per explored protocol");
+  if (const std::optional<int> code = h.parse()) return *code;
 
-  const u32 n = static_cast<u32>(h.args.get_int("n", 3));
 
   std::vector<std::unique_ptr<check::AsyncProtocol>> protocols;
   protocols.push_back(check::make_decide_own_input());

@@ -37,6 +37,7 @@ bool constructive_attack_splits(u32 n, u32 t, u32 rounds) {
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E2 — t+1 round lower bound (Lemma 3.1)", 1);
+  if (const std::optional<int> code = h.parse()) return *code;
 
   Table exhaustive({"n", "t", "rounds", "strategy space", "executions", "disagreement found"});
   struct Case {

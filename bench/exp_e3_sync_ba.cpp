@@ -23,6 +23,7 @@ struct NamedAdversary {
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E3 — synchronous Byzantine agreement (Theorem 3.2)", 20);
+  if (const std::optional<int> code = h.parse()) return *code;
 
   const std::vector<NamedAdversary> adversaries = {
       {"silent", [](u64) { return std::make_unique<adv::SilentSync>(); }},

@@ -17,6 +17,7 @@ using namespace amm;
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E4 — Byzantine agreement with absolute timestamps (Theorem 5.2)",
                  2000);
+  if (const std::optional<int> code = h.parse()) return *code;
 
   // Regime 1: constant gap (t = n/2 - 1).
   Table narrow({"n", "t", "gap", "k", "measured failure [95% CI]", "predicted"});
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
       params.scenario.t = t;
       params.k = k;
       const auto est = exp::estimate_rate(
-          h.pool, h.seed ^ (n * 1000 + k), h.trials, [&](usize, Rng& rng) {
+          h.pool(), h.seed ^ (n * 1000 + k), h.trials, [&](usize, Rng& rng) {
             return !proto::run_timestamp_ba(params, rng).validity(params.scenario);
           });
       const auto [lo, hi] = est.wilson95();
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
       params.scenario.t = t;
       params.k = k;
       const auto est = exp::estimate_rate(
-          h.pool, h.seed ^ (n * 7919 + k), h.trials, [&](usize, Rng& rng) {
+          h.pool(), h.seed ^ (n * 7919 + k), h.trials, [&](usize, Rng& rng) {
             return !proto::run_timestamp_ba(params, rng).validity(params.scenario);
           });
       const auto [lo, hi] = est.wilson95();

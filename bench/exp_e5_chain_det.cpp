@@ -35,7 +35,7 @@ Row measure(exp::Harness& h, u32 n, u32 t, bool adversarial_ties) {
 
   std::mutex m;
   Row row;
-  exp::collect_stats(h.pool, h.seed ^ (n * 100 + t + (adversarial_ties ? 7 : 0)), h.trials,
+  exp::collect_stats(h.pool(), h.seed ^ (n * 100 + t + (adversarial_ties ? 7 : 0)), h.trials,
                      [&](usize, Rng& rng) {
                        const proto::Outcome out = proto::run_chain_slotted(params, rng);
                        const double frac = out.terminated
@@ -55,6 +55,7 @@ Row measure(exp::Harness& h, u32 n, u32 t, bool adversarial_ties) {
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E5 — chain with deterministic tie-breaking (Theorem 5.3)", 300);
+  if (const std::optional<int> code = h.parse()) return *code;
 
   Table table({"n", "t", "t/n", "tie rule", "byz chain frac", "pred frac", "validity rate"});
   const u32 n = 24;

@@ -15,6 +15,7 @@ using namespace amm;
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E6 — chain resilience vs access rate (Theorem 5.4)", 400);
+  if (const std::optional<int> code = h.parse()) return *code;
 
   const u32 n = 20;
   const u32 k = 61;
@@ -36,7 +37,7 @@ int main(int argc, char** argv) {
         double frac_sum = 0.0;
         usize runs = 0;
         const auto est = exp::estimate_rate(
-            h.pool, h.seed ^ (static_cast<u64>(lambda * 1000) * 31 + t + (slotted ? 1 : 0)),
+            h.pool(), h.seed ^ (static_cast<u64>(lambda * 1000) * 31 + t + (slotted ? 1 : 0)),
             h.trials, [&](usize, Rng& rng) {
               const proto::Outcome out = slotted ? proto::run_chain_slotted(params, rng)
                                                  : proto::run_chain_continuous(params, rng);

@@ -39,7 +39,7 @@ Measured measure(exp::Harness& h, u32 n, u32 t, u32 k, double lambda, u64 salt) 
   std::mutex m;
   Measured sum;
   usize runs = 0;
-  exp::collect_stats(h.pool, h.seed ^ salt, h.trials, [&](usize, Rng& rng) {
+  exp::collect_stats(h.pool(), h.seed ^ salt, h.trials, [&](usize, Rng& rng) {
     const proto::DagResult res = proto::run_dag_continuous(params, rng);
     std::scoped_lock lock(m);
     sum.dump += static_cast<double>(res.dumped);
@@ -58,6 +58,7 @@ Measured measure(exp::Harness& h, u32 n, u32 t, u32 k, double lambda, u64 salt) 
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E7 — DAG withholding injects only O(log) values (Lemma 5.5)", 150);
+  if (const std::optional<int> code = h.parse()) return *code;
 
   // Table 1: system-size sweep. The injectable value count must stay flat
   // and minuscule next to k — never linear in n.

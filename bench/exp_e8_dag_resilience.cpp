@@ -17,6 +17,7 @@ using namespace amm;
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E8 — DAG resilience is ~1/2 and rate-independent (Theorem 5.6)",
                  300);
+  if (const std::optional<int> code = h.parse()) return *code;
 
   const u32 n = 20;
   const u32 k = 101;
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
       double frac_sum = 0.0;
       usize runs = 0;
       const auto est = exp::estimate_rate(
-          h.pool, h.seed ^ (static_cast<u64>(lambda * 100) * 131 + t), h.trials,
+          h.pool(), h.seed ^ (static_cast<u64>(lambda * 100) * 131 + t), h.trials,
           [&](usize, Rng& rng) {
             const proto::DagResult res = proto::run_dag_continuous(params, rng);
             {
@@ -69,7 +70,7 @@ int main(int argc, char** argv) {
       params.full_ordering = true;
       params.adversary = proto::DagAdversary::kHonestOpposite;
       const auto est = exp::estimate_rate(
-          h.pool, h.seed ^ (t + (rule == chain::PivotRule::kGhost ? 3 : 5)),
+          h.pool(), h.seed ^ (t + (rule == chain::PivotRule::kGhost ? 3 : 5)),
           std::min<usize>(h.trials, 30), [&](usize, Rng& rng) {
             return proto::run_dag_continuous(params, rng).outcome.validity(params.scenario);
           });

@@ -23,7 +23,7 @@ double chain_validity(exp::Harness& h, u32 n, u32 t, double lambda, u32 k) {
   params.lambda = lambda;
   params.adversary = proto::ChainAdversary::kRushExtend;
   const auto est = exp::estimate_rate(
-      h.pool, h.seed ^ (t * 37 + static_cast<u64>(lambda * 1000)), h.trials,
+      h.pool(), h.seed ^ (t * 37 + static_cast<u64>(lambda * 1000)), h.trials,
       [&](usize, Rng& rng) {
         const proto::Outcome out = proto::run_chain_slotted(params, rng);
         return out.terminated && out.validity(params.scenario);
@@ -39,7 +39,7 @@ double dag_validity(exp::Harness& h, u32 n, u32 t, double lambda, u32 k) {
   params.lambda = lambda;
   params.adversary = proto::DagAdversary::kRateAndWithhold;
   const auto est = exp::estimate_rate(
-      h.pool, h.seed ^ (t * 41 + static_cast<u64>(lambda * 1000) + 1), h.trials,
+      h.pool(), h.seed ^ (t * 41 + static_cast<u64>(lambda * 1000) + 1), h.trials,
       [&](usize, Rng& rng) {
         const proto::DagResult res = proto::run_dag_continuous(params, rng);
         return res.outcome.terminated && res.outcome.validity(params.scenario);
@@ -51,6 +51,7 @@ double dag_validity(exp::Harness& h, u32 n, u32 t, double lambda, u32 k) {
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "E9 — chain vs DAG resilience frontier (headline)", 200);
+  if (const std::optional<int> code = h.parse()) return *code;
 
   const u32 n = 20;
   const u32 k = 61;

@@ -2,6 +2,7 @@
 // the §4 ABD-style simulation with crashes and an active forger.
 //
 //   ./examples/abd_replication [--n 7] [--crashed 2] [--ops 20]
+//   (plus the harness flags --trials/--seed/--threads/--csv/--json; --help lists them all)
 //
 // Shows: operation latencies under random message delays, liveness with a
 // crashed minority, signature-based rejection of forged records, and the
@@ -17,9 +18,13 @@ using namespace amm;
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "example: ABD simulation of the append memory", 1);
-  const u32 n = static_cast<u32>(h.args.get_int("n", 7));
-  const u32 crashed = static_cast<u32>(h.args.get_int("crashed", 2));
-  const u32 ops = static_cast<u32>(h.args.get_int("ops", 20));
+  u32 n = 7;
+  u32 crashed = 2;
+  u32 ops = 20;
+  h.opts.add_u32("n", &n, "replicas");
+  h.opts.add_u32("crashed", &crashed, "crashed replicas");
+  h.opts.add_u32("ops", &ops, "operations issued (every third a read)");
+  if (const std::optional<int> code = h.parse()) return *code;
   if (crashed + 1 >= (n + 1) / 2 && crashed >= n / 2) {
     std::cout << "warning: crashed >= n/2 — operations will block (that's the point!)\n";
   }

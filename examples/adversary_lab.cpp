@@ -6,6 +6,7 @@
 // per round, then race it against the protocol at several round budgets.
 //
 //   ./examples/adversary_lab [--n 7] [--t 3]
+//   (plus the harness flags --trials/--seed/--threads/--csv/--json; --help lists them all)
 #include <iostream>
 
 #include "adversary/sync_strategies.hpp"
@@ -67,8 +68,11 @@ void race(const char* name, proto::SyncAdversary& adversary, u32 n, u32 t, Table
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "example: adversary lab", 1);
-  const u32 n = static_cast<u32>(h.args.get_int("n", 7));
-  const u32 t = static_cast<u32>(h.args.get_int("t", 3));
+  u32 n = 7;
+  u32 t = 3;
+  h.opts.add_u32("n", &n, "processes");
+  h.opts.add_u32("t", &t, "Byzantine processes");
+  if (const std::optional<int> code = h.parse()) return *code;
 
   Table table({"adversary", "rounds run", "rounds needed (t+1)", "outcome"});
   adv::LastRoundSplitSync staircase(Vote::kMinus, (n - t) / 2);

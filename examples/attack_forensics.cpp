@@ -3,7 +3,8 @@
 // backbone metrics, a Graphviz dump of the fork structure, and a replayable
 // trace of the full execution.
 //
-//   ./examples/attack_forensics [--n 12] [--t 3] [--lambda 0.5] [--k 21]
+//   ./examples/attack_forensics [--n 12] [--t 3] [--k 21] [--lambda 0.5]
+//   (plus the harness flags --trials/--seed/--threads/--csv/--json; --help lists them all)
 //   dot -Tsvg attack.dot -o attack.svg     # render the fork structure
 #include <fstream>
 #include <iostream>
@@ -19,10 +20,15 @@ using namespace amm;
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "example: attack forensics", 1);
-  const u32 n = static_cast<u32>(h.args.get_int("n", 12));
-  const u32 t = static_cast<u32>(h.args.get_int("t", 3));
-  const u32 k = static_cast<u32>(h.args.get_int("k", 21));
-  const double lambda = h.args.get_double("lambda", 0.5);
+  u32 n = 12;
+  u32 t = 3;
+  u32 k = 21;
+  double lambda = 0.5;
+  h.opts.add_u32("n", &n, "processes");
+  h.opts.add_u32("t", &t, "Byzantine processes");
+  h.opts.add_u32("k", &k, "decision chain length (odd)");
+  h.opts.add_double("lambda", &lambda, "per-node access rate per delta");
+  if (const std::optional<int> code = h.parse()) return *code;
 
   // Re-run the attack, but this time keep the memory: the slotted runner
   // is a black box, so we reconstruct an equivalent small history through

@@ -1,7 +1,8 @@
 // The paper's headline, interactively: sweep the Byzantine share for a
 // chain and a DAG at the same access rate and watch where each collapses.
 //
-//   ./examples/chain_vs_dag [--n 20] [--lambda 0.5] [--k 61] [--trials 40]
+//   ./examples/chain_vs_dag [--n 20] [--k 61] [--lambda 0.5] [--trials 40]
+//   (plus the harness flags --seed/--threads/--csv/--json; --help lists them all)
 //
 // Expected shape (Theorems 5.4 / 5.6): the chain fails once λ·t crosses 1;
 // the DAG holds until t/n approaches 1/2, for any λ.
@@ -16,9 +17,13 @@ using namespace amm;
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "example: chain vs DAG", 40);
-  const u32 n = static_cast<u32>(h.args.get_int("n", 20));
-  const u32 k = static_cast<u32>(h.args.get_int("k", 61));
-  const double lambda = h.args.get_double("lambda", 0.5);
+  u32 n = 20;
+  u32 k = 61;
+  double lambda = 0.5;
+  h.opts.add_u32("n", &n, "processes");
+  h.opts.add_u32("k", &k, "decision chain length / cut size (odd)");
+  h.opts.add_double("lambda", &lambda, "per-node access rate per delta");
+  if (const std::optional<int> code = h.parse()) return *code;
 
   Table table({"t", "t/n", "lambda*t", "chain validity", "DAG validity"});
   for (u32 t = 1; t < n / 2; t += std::max(1u, n / 10)) {
@@ -37,12 +42,12 @@ int main(int argc, char** argv) {
     dp.adversary = proto::DagAdversary::kRateAndWithhold;
 
     const auto chain_est =
-        exp::estimate_rate(h.pool, h.seed ^ t, h.trials, [&](usize, Rng& rng) {
+        exp::estimate_rate(h.pool(), h.seed ^ t, h.trials, [&](usize, Rng& rng) {
           const auto out = proto::run_chain_slotted(cp, rng);
           return out.terminated && out.validity(cp.scenario);
         });
     const auto dag_est =
-        exp::estimate_rate(h.pool, h.seed ^ (t + 1000), h.trials, [&](usize, Rng& rng) {
+        exp::estimate_rate(h.pool(), h.seed ^ (t + 1000), h.trials, [&](usize, Rng& rng) {
           const auto res = proto::run_dag_continuous(dp, rng);
           return res.outcome.terminated && res.outcome.validity(dp.scenario);
         });

@@ -8,6 +8,7 @@
 // small Byzantine system.
 //
 //   ./examples/model_checking [--n 3]
+//   (plus the harness flags --trials/--seed/--threads/--csv/--json; --help lists them all)
 #include <iostream>
 
 #include "check/explorer.hpp"
@@ -54,7 +55,9 @@ class OptimisticThenFollow final : public check::AsyncProtocol {
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "example: model checking your own protocol", 1);
-  const u32 n = static_cast<u32>(h.args.get_int("n", 3));
+  u32 n = 3;
+  h.opts.add_u32("n", &n, "processes per explored protocol");
+  if (const std::optional<int> code = h.parse()) return *code;
 
   std::cout << "-- Part 1: asynchronous impossibility (Theorem 2.1) --\n";
   OptimisticThenFollow custom(n);

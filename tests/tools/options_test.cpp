@@ -1,11 +1,11 @@
-// tools/cli.hpp — the shared options API all runtime tools parse with.
+// support/options.hpp — the one options API every binary parses with —
+// plus the node vocabulary tools/cli.hpp declares on it.
 //
-// The properties the consolidation bought: one declaration per option,
-// `--name value` and `--name=value` both accepted, typed range checking,
-// enum-vocabulary validation, positional vocabularies, and — the headline
-// fix over the old per-tool parsers — unknown flags are *rejected*, not
+// The properties it guarantees: one declaration per option, `--name value`
+// and `--name=value` both accepted, typed range checking, enum-vocabulary
+// validation, positional vocabularies, and unknown flags *rejected*, not
 // silently ignored.
-#include "tools/cli.hpp"
+#include "support/options.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,9 @@
 #include <string>
 #include <vector>
 
-namespace amm::tools {
+#include "tools/cli.hpp"
+
+namespace amm {
 namespace {
 
 ParseStatus parse(OptionSet& opts, std::vector<const char*> args) {
@@ -148,9 +150,9 @@ TEST(Options, UnexpectedPositionalRejected) {
 }
 
 TEST(Options, NodeOptionsDeclareTheWholeVocabularyOnce) {
-  NodeConfig cfg;
+  tools::NodeConfig cfg;
   OptionSet opts("amm_node", "test");
-  add_node_options(opts, &cfg);
+  tools::add_node_options(opts, &cfg);
   EXPECT_EQ(parse(opts, {"--n", "7", "--id=3", "--backend", "epoll", "--compact", "summary",
                          "--store-dir", "/tmp/store0", "--fsync=always",
                          "--snapshot-interval", "256", "--segment-bytes", "1048576"}),
@@ -168,9 +170,9 @@ TEST(Options, NodeOptionsDeclareTheWholeVocabularyOnce) {
   EXPECT_EQ(cfg.base_port, 9500u);
   EXPECT_EQ(cfg.fsync_interval, 64u);
 
-  // The old parsers ignored typos like this one; the shared one must not.
+  // A misspelled flag is an error, never ignored.
   EXPECT_EQ(parse(opts, {"--storedir", "/tmp/x"}), ParseStatus::kError);
 }
 
 }  // namespace
-}  // namespace amm::tools
+}  // namespace amm

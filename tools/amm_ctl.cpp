@@ -22,10 +22,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "net/codec.hpp"
-#include "tools/cli.hpp"
+#include "support/options.hpp"
 
 namespace {
 
@@ -113,7 +114,7 @@ int main(int argc, char** argv) {
   i64 count = 1;
   i64 window = 1;
   u32 k = 1;
-  tools::OptionSet opts("amm_ctl", "submit one operation to a running amm_node");
+  OptionSet opts("amm_ctl", "submit one operation to a running amm_node");
   opts.add_string("host", &host, "node host");
   opts.add_u16("port", &port, "node control port");
   opts.add_enum("op", &op, {"append", "read", "decide", "stats", "kick"}, "operation");
@@ -121,16 +122,7 @@ int main(int argc, char** argv) {
   opts.add_i64("count", &count, "append: number of appends (values value..value+count-1)");
   opts.add_i64("window", &window, "append: appends kept in flight on the connection");
   opts.add_u32("k", &k, "decide: the k-cut size");
-  switch (opts.parse(argc, argv)) {
-    case tools::ParseStatus::kHelp:
-      opts.print_help(stdout);
-      return 0;
-    case tools::ParseStatus::kError:
-      std::fprintf(stderr, "amm_ctl: %s\n", opts.error().c_str());
-      return 2;
-    case tools::ParseStatus::kOk:
-      break;
-  }
+  if (const std::optional<int> code = opts.parse_or_exit_code(argc, argv)) return *code;
 
   const int fd = dial(host, port);
   if (fd < 0) {

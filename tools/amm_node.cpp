@@ -11,7 +11,8 @@
 //            [--fsync-interval A] [--snapshot-interval A] [--segment-bytes B]
 //
 // (Full option reference: amm_node --help; tools/cli.hpp declares the
-// vocabulary once and generates parsing, validation and help from it.)
+// vocabulary once and support/options.hpp generates parsing, validation
+// and help from it.)
 //
 // --store-dir attaches the durable backend (storage::FileLog, DESIGN.md
 // §10): every admitted record is appended to a CRC-framed segment log and
@@ -47,6 +48,7 @@
 #include <string>
 
 #include <memory>
+#include <optional>
 
 #include "mp/abd.hpp"
 #include "net/decision.hpp"
@@ -94,18 +96,9 @@ int main(int argc, char** argv) {
     cli.high_watermark = transport_defaults.outbound_high_watermark;
     cli.low_watermark = transport_defaults.outbound_low_watermark;
   }
-  tools::OptionSet opts("amm_node", "one append-memory node (ABD quorum protocol over TCP)");
+  OptionSet opts("amm_node", "one append-memory node (ABD quorum protocol over TCP)");
   tools::add_node_options(opts, &cli);
-  switch (opts.parse(argc, argv)) {
-    case tools::ParseStatus::kHelp:
-      opts.print_help(stdout);
-      return 0;
-    case tools::ParseStatus::kError:
-      std::fprintf(stderr, "amm_node: %s\n", opts.error().c_str());
-      return 2;
-    case tools::ParseStatus::kOk:
-      break;
-  }
+  if (const std::optional<int> code = opts.parse_or_exit_code(argc, argv)) return *code;
   const u32 n = cli.n;
   const u32 id = cli.id;
   const u64 seed = cli.seed;

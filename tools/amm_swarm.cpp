@@ -49,8 +49,8 @@
 #include "exp/harness.hpp"
 #include "net/codec.hpp"
 #include "net/event_loop.hpp"
+#include "support/options.hpp"
 #include "support/table.hpp"
-#include "tools/cli.hpp"
 
 namespace {
 
@@ -455,10 +455,7 @@ RungResult run_rung(net::LoopBackend client_backend, const std::string& host,
 int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
-  // Options are declared (and validated, with --help and unknown-flag
-  // rejection) through tools::OptionSet; exp::Harness then re-reads its own
-  // common flags (--seed/--trials/--threads/--csv/--json) from the same
-  // argv, so both parsers see one consistent vocabulary.
+  exp::Harness harness(argc, argv, "amm_swarm: client-swarm append throughput", 1);
   u32 n = 3;
   std::string host = "127.0.0.1";
   u16 base_port = 9500;
@@ -469,12 +466,7 @@ int main(int argc, char** argv) {
   u64 idle_count = 0;
   std::string label = "default";
   std::string client_loop = "auto";
-  u64 trials = 1;
-  u64 seed = 20200715;
-  u32 threads = 0;
-  bool csv = false;
-  std::string json_path;
-  tools::OptionSet opts("amm_swarm", "client-swarm append throughput against amm_node");
+  OptionSet& opts = harness.opts;
   opts.add_u32("n", &n, "number of cluster nodes to spread connections over");
   opts.add_string("host", &host, "cluster host");
   opts.add_u16("base-port", &base_port, "node i listens on base-port+i");
@@ -485,23 +477,8 @@ int main(int argc, char** argv) {
   opts.add_u64("idle", &idle_count, "standing never-written connections held for the run");
   opts.add_string("label", &label, "label echoed into result rows");
   opts.add_enum("client-loop", &client_loop, {"auto", "poll", "epoll"}, "swarm-side event loop");
-  opts.add_u64("trials", &trials, "accepted for harness compatibility");
-  opts.add_u64("seed", &seed, "harness seed echoed into --json output");
-  opts.add_u32("threads", &threads, "harness worker threads (0 = hardware)");
-  opts.add_flag("csv", &csv, "emit CSV instead of the ASCII table");
-  opts.add_string("json", &json_path, "additionally write emitted tables to this JSON file");
-  switch (opts.parse(argc, argv)) {
-    case tools::ParseStatus::kHelp:
-      opts.print_help(stdout);
-      return 0;
-    case tools::ParseStatus::kError:
-      std::fprintf(stderr, "amm_swarm: %s\n", opts.error().c_str());
-      return 2;
-    case tools::ParseStatus::kOk:
-      break;
-  }
+  if (const std::optional<int> code = harness.parse()) return *code;
 
-  exp::Harness harness(argc, argv, "amm_swarm: client-swarm append throughput", 1);
   const std::vector<u16> ports = parse_ports(ports_list, base_port, n);
   const std::vector<usize> scale = parse_scale(scale_list);
   const usize idle = static_cast<usize>(idle_count);

@@ -61,6 +61,9 @@ import time
 from pathlib import Path
 
 RECORD_WIRE_BYTES = 28  # one signed append record on the wire (codec.cpp)
+# TcpTransport's default backoff_max (net/transport.hpp): once every node
+# listens, a link whose startup dial was refused redials within this bound.
+BACKOFF_MAX_S = 2.0
 
 
 class ClusterError(Exception):
@@ -99,6 +102,7 @@ class Cluster:
         self.node_args = list(node_args)
         self.base_port = 0
         self.procs: list[subprocess.Popen | None] = []
+        self.up_at = 0.0
 
     def start(self, attempts: int = 10) -> None:
         rng = random.Random()
@@ -132,8 +136,20 @@ class Cluster:
             log(f"startup on base port {self.base_port} failed ({err}); retrying")
             self.stop_all()
             return False
+        self.up_at = time.monotonic()
         log(f"{self.n} nodes up on 127.0.0.1:{self.base_port}..{self.base_port + self.n - 1}")
         return True
+
+    def settle_mesh(self) -> None:
+        """Waits until every outbound link has connected at least once.
+
+        Nodes dial as they start, so a dial toward a peer that is not yet
+        listening is refused and backs off. A link that first connects only
+        after its peer was killed never counts a reconnect, because the
+        transport counts re-dials of links that were up before."""
+        remaining = self.up_at + BACKOFF_MAX_S + 0.5 - time.monotonic()
+        if remaining > 0:
+            time.sleep(remaining)
 
     def port(self, i: int) -> int:
         return self.base_port + i
@@ -521,6 +537,8 @@ def main() -> None:
         log(f"phase 1: {len(completed)} appends completed across {args.n} nodes")
 
         # Crash a minority mid-run: floor((n-1)/2) highest-numbered nodes.
+        # The restart check below needs every survivor's link to them up first.
+        cluster.settle_mesh()
         for node in range(args.n - (args.n - 1) // 2, args.n):
             cluster.kill(node)
         survivors = cluster.alive()
