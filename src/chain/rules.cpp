@@ -21,12 +21,14 @@ std::vector<MsgId> select_pivot(const BlockGraph& graph, PivotRule rule) {
   std::vector<MsgId> pivot;
   if (graph.block_count() == 0) return pivot;
 
-  // For the longest-chain rule we need, per block, the height of the
-  // deepest descendant. Compute it once, bottom-up by descending depth.
-  // MsgId is a perfect index into the graph's dense positions, so this is
-  // a flat array rather than a hash map.
-  std::vector<u32> max_reach(graph.block_count());  // deepest depth reachable in subtree
-  {
+  // The longest-chain rule needs, per block, the height of the deepest
+  // descendant. Compute it once, bottom-up by descending depth; GHOST reads
+  // the graph's subtree weights instead and skips this pass. MsgId is a
+  // perfect index into the graph's dense positions, so this is a flat array
+  // rather than a hash map.
+  std::vector<u32> max_reach;  // deepest depth reachable in subtree
+  if (rule == PivotRule::kLongestChain) {
+    max_reach.resize(graph.block_count());
     const std::vector<MsgId>& order = graph.topo_order();
     // Process leaves first: reverse topological order works because parent
     // edges are a subset of reference edges.

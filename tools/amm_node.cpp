@@ -1,6 +1,7 @@
 // amm_node — a real append-memory node: one AbdNode (§4, Algorithms 2–3)
-// hosted behind the poll-based TCP transport, plus the DAG BA decision
-// rule (§5.3, Algorithm 6) served over the control plane.
+// hosted behind the TCP transport (its reactor runs on the EventLoop seam:
+// epoll, with a poll fallback), plus the DAG BA decision rule (§5.3,
+// Algorithm 6) served over the control plane.
 //
 //   amm_node --id I --n N [--seed S] [--host 127.0.0.1] [--base-port 9500]
 //            [--backend auto|poll|epoll] [--verify-threads T]

@@ -14,7 +14,7 @@ break that silently:
     (`std::mt19937`, `std::random_device`, ... are unseeded or globally
     seeded and escape the (master seed, stream) discipline).
 
-This check supersedes the old regex `unordered-iter` lint rule with
+It is the repository's only check on unordered container order, with
 structural reach: direct and member range-fors (including structured
 bindings), iterator loops (`for (auto it = m.begin(); ...)`), order-
 sensitive `<algorithm>` calls fed from `unordered begin()`, and local
@@ -74,8 +74,6 @@ def _unordered_names(model: AnalysisModel) -> Set[str]:
     for sf in model.files:
         for d in sf.var_decls(type_res):
             names.add(d.name)
-    if model.clang:
-        names |= model.clang.unordered_names
     return names
 
 

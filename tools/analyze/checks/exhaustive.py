@@ -29,15 +29,6 @@ RULES = {
 def run(model: AnalysisModel) -> List[Finding]:
     findings: List[Finding] = []
     for sf in model.files:
-        clang_switches = model.clang.switches.get(sf.display) if model.clang else None
-        if clang_switches is not None:
-            for cs in clang_switches:
-                enum = model.enums.get(cs.enum_path)
-                if enum is None:
-                    continue
-                _judge(findings, sf, enum.enumerators, set(cs.handled), cs.has_default,
-                       cs.line, cs.line, "::".join(enum.path))
-            continue
         for sw in sf.switches:
             if not sw.cases:
                 continue
@@ -49,22 +40,19 @@ def run(model: AnalysisModel) -> List[Finding]:
                 for label in sw.cases
                 if [p for p in label if p != "::"]
             }
-            _judge(findings, sf, enum.enumerators, handled, sw.has_default,
-                   sw.line, sw.default_line or sw.line, "::".join(enum.path))
+            enum_name = "::".join(enum.path)
+            missing = [e for e in enum.enumerators if e not in handled]
+            if missing and not sf.allowed(sw.line, "switch-exhaustive"):
+                findings.append(Finding(
+                    sf.display, sw.line, "switch-exhaustive",
+                    f"switch over {enum_name} does not handle: {', '.join(missing)} — "
+                    "every message kind / protocol state must have an explicit handler "
+                    "(add the case, or // analyze:allow(switch-exhaustive): <why>)"))
+            default_line = sw.default_line or sw.line
+            if sw.has_default and not sf.allowed(default_line, "switch-default"):
+                findings.append(Finding(
+                    sf.display, default_line, "switch-default",
+                    f"silent default: in a switch over {enum_name} — a new enumerator "
+                    "would compile and be dropped at dispatch; enumerate the remaining "
+                    "cases explicitly, or // analyze:allow(switch-default): <why>"))
     return findings
-
-
-def _judge(findings, sf, enumerators, handled, has_default, line, default_line, enum_name):
-    missing = [e for e in enumerators if e not in handled]
-    if missing and not sf.allowed(line, "switch-exhaustive"):
-        findings.append(Finding(
-            sf.display, line, "switch-exhaustive",
-            f"switch over {enum_name} does not handle: {', '.join(missing)} — "
-            "every message kind / protocol state must have an explicit handler "
-            "(add the case, or // analyze:allow(switch-exhaustive): <why>)"))
-    if has_default and not sf.allowed(default_line, "switch-default"):
-        findings.append(Finding(
-            sf.display, default_line, "switch-default",
-            f"silent default: in a switch over {enum_name} — a new enumerator "
-            "would compile and be dropped at dispatch; enumerate the remaining "
-            "cases explicitly, or // analyze:allow(switch-default): <why>"))

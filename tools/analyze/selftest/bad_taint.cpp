@@ -46,4 +46,12 @@ struct Tracker {
   }
 };
 
+int tally() {
+  std::unordered_map<int, int> votes;
+  int sum = 0;
+  // VIOLATION: plain range-for over a local unordered container.
+  for (const auto& kv : votes) sum = sum * 31 + kv.second;
+  return sum;
+}
+
 }  // namespace selftest

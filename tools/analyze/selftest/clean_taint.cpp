@@ -1,6 +1,7 @@
 // amm_analyze --self-test corpus: determinism-clean patterns — ordered
-// iteration, the sorted-copy idiom, and an annotated order-insensitive
-// fold (expected: no findings).
+// iteration, the sorted-copy idiom, an annotated order-insensitive fold,
+// and a declaration returning an unordered container (expected: no
+// findings).
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
@@ -43,5 +44,8 @@ struct Tracker {
     return h;
   }
 };
+
+// A function returning an unordered container is not a container to iterate.
+std::unordered_map<int, int> m();
 
 }  // namespace selftest
