@@ -93,6 +93,23 @@ void BM_DagTrial(benchmark::State& state) {
 }
 BENCHMARK(BM_DagTrial);
 
+// The perfbench montecarlo shape: at k=1001 a per-append cost that grows
+// with the history shows up, where k=101 hides it.
+void BM_DagTrialLargeK(benchmark::State& state) {
+  proto::DagParams params;
+  params.scenario.n = 20;
+  params.scenario.t = 6;
+  params.k = 1001;
+  params.lambda = 0.5;
+  params.adversary = proto::DagAdversary::kRateAndWithhold;
+  u64 seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(proto::run_dag_continuous(params, Rng(seed++)));
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+BENCHMARK(BM_DagTrialLargeK);
+
 void BM_DagTrialFullOrdering(benchmark::State& state) {
   proto::DagParams params;
   params.scenario.n = 20;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -14,8 +15,14 @@
 namespace amm::proto {
 namespace {
 
-/// Incremental DAG state: append-order records, parent-edge depths and a
-/// lagging stale-tip frontier for the correct nodes' Δ-old views.
+/// Incremental DAG state: append-order records, parent-edge depths and two
+/// tip frontiers — the true tips (the rushing adversary's view) and the
+/// tips of a lagging "stale" prefix as of (now − Δ), the view a synchronous
+/// correct node acts on. Both frontiers are kept incrementally instead of
+/// rescanning the history on every append (that would make trials
+/// quadratic in the cut size k); an update costs O(refs + tips). The lists
+/// hold local indices in ascending append order, which order_parent_first's
+/// tie toward the oldest tip relies on.
 class DagState {
  public:
   explicit DagState(u32 node_count) : memory_(node_count) {}
@@ -23,14 +30,21 @@ class DagState {
   am::AppendMemory& memory() { return memory_; }
 
   /// Invariant audit hook (no-op unless AMM_AUDIT): append-only growth and
-  /// prefix immutability of the backing memory, monotone observed views.
+  /// prefix immutability of the backing memory, monotone observed views,
+  /// and both incremental tip frontiers against BlockGraph::tips() of the
+  /// view they stand for. Zero cost in release builds.
   void audit() {
     auditor_.check(memory_);
     auditor_.check_view(memory_.read());
+    if constexpr (check::kAuditEnabled) {
+      AMM_ASSERT(same_blocks(true_tips_, chain::BlockGraph(memory_.read()).tips()));
+      AMM_ASSERT(
+          same_blocks(stale_tips_, chain::BlockGraph(memory_.read_at(stale_horizon_)).tips()));
+    }
   }
 
   /// Appends a block referencing `refs` (local indices; refs[0] = parent).
-  usize append(NodeId author, Vote vote, const std::vector<usize>& refs, SimTime now, bool byz) {
+  usize append(NodeId author, Vote vote, const std::vector<usize>& refs, SimTime now) {
     std::vector<am::MsgId> ref_ids;
     ref_ids.reserve(refs.size());
     for (const usize r : refs) ref_ids.push_back(recs_[r].id);
@@ -39,51 +53,31 @@ class DagState {
     Rec rec;
     rec.id = id;
     rec.time = now;
-    rec.byz = byz;
     rec.refs = refs;
     rec.depth = refs.empty() ? 1 : recs_[refs.front()].depth + 1;
     recs_.push_back(std::move(rec));
 
     const usize idx = recs_.size() - 1;
-    // True-view tip bookkeeping (for the rushing adversary).
-    for (const usize r : refs) true_tip_flags_[r] = false;
-    true_tip_flags_.push_back(true);
-    if (recs_[idx].depth >= deepest_depth_) {
-      deepest_depth_ = recs_[idx].depth;
-      deepest_idx_ = idx;
-    }
+    advance_frontier(true_tips_, idx, refs);
     return idx;
   }
 
   usize size() const { return recs_.size(); }
-  bool byz(usize i) const { return recs_[i].byz; }
   u32 depth(usize i) const { return recs_[i].depth; }
 
-  /// Deepest block of the true current view (dump target); size() must be > 0.
-  usize deepest() const { return deepest_idx_; }
+  /// True current tips (the adversary's rushing view), ascending.
+  const std::vector<usize>& true_tips() const { return true_tips_; }
 
-  /// True current tips (the adversary's rushing view).
-  std::vector<usize> true_tips() const {
-    std::vector<usize> tips;
-    for (usize i = 0; i < recs_.size(); ++i) {
-      if (true_tip_flags_[i]) tips.push_back(i);
-    }
-    return tips;
-  }
-
-  /// Tips of the view as of `horizon` (correct nodes' stale read). The
-  /// frontier only moves forward; callers must pass non-decreasing horizons.
-  std::vector<usize> stale_tips(SimTime horizon) {
+  /// Tips of the view as of `horizon` (correct nodes' stale read), ascending.
+  /// The frontier only moves forward; callers must pass non-decreasing
+  /// horizons.
+  const std::vector<usize>& stale_tips(SimTime horizon) {
     while (stale_ptr_ < recs_.size() && recs_[stale_ptr_].time < horizon) {
-      for (const usize r : recs_[stale_ptr_].refs) stale_tip_flags_[r] = false;
-      stale_tip_flags_.push_back(true);
+      advance_frontier(stale_tips_, stale_ptr_, recs_[stale_ptr_].refs);
       ++stale_ptr_;
     }
-    std::vector<usize> tips;
-    for (usize i = 0; i < stale_ptr_; ++i) {
-      if (stale_tip_flags_[i]) tips.push_back(i);
-    }
-    return tips;
+    stale_horizon_ = horizon;
+    return stale_tips_;
   }
 
  private:
@@ -91,18 +85,40 @@ class DagState {
     am::MsgId id;
     SimTime time = 0.0;
     u32 depth = 1;
-    bool byz = false;
     std::vector<usize> refs;
   };
+
+  /// Admits block `idx` to an ascending tip list: every block it references
+  /// stops being a tip, and `idx` (newer than all of them) becomes one.
+  static void advance_frontier(std::vector<usize>& tips, usize idx,
+                               const std::vector<usize>& refs) {
+    for (const usize r : refs) {
+      const auto it = std::lower_bound(tips.begin(), tips.end(), r);
+      if (it != tips.end() && *it == r) tips.erase(it);
+    }
+    tips.push_back(idx);
+  }
+
+  /// Whether local indices `tips` name exactly the blocks `ids` (as sets:
+  /// BlockGraph orders tips by (time, id), the frontiers by append index).
+  bool same_blocks(const std::vector<usize>& tips, std::vector<am::MsgId> ids) const {
+    std::vector<am::MsgId> mine;
+    mine.reserve(tips.size());
+    for (const usize i : tips) mine.push_back(recs_[i].id);
+    std::sort(mine.begin(), mine.end());
+    std::sort(ids.begin(), ids.end());
+    return mine == ids;
+  }
 
   am::AppendMemory memory_;
   check::MemoryAuditor auditor_;
   std::vector<Rec> recs_;
-  std::vector<bool> true_tip_flags_;
-  std::vector<bool> stale_tip_flags_;
+  std::vector<usize> true_tips_;
+  std::vector<usize> stale_tips_;
   usize stale_ptr_ = 0;
-  u32 deepest_depth_ = 0;
-  usize deepest_idx_ = 0;
+  /// Horizon of the last stale read (audit only); the initial value makes
+  /// read_at() return the empty view, matching an empty stale frontier.
+  SimTime stale_horizon_ = -std::numeric_limits<SimTime>::infinity();
 };
 
 /// Chooses the parent (refs[0]) among tips: the deepest one, ties toward
@@ -238,7 +254,7 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
       if (!refs.empty()) order_parent_first(st, refs);
       for (u64 d = 0; d < bank && public_count < params.k; ++d) {
         const std::vector<usize> r = d == 0 ? refs : std::vector<usize>{st.size() - 1};
-        st.append(NodeId{s.n - 1}, byz_vote, r, when, /*byz=*/true);
+        st.append(NodeId{s.n - 1}, byz_vote, r, when);
         ++public_count;
         ++byz_public;
       }
@@ -252,7 +268,7 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
 
     std::vector<usize> refs = st.stale_tips(when - params.delta);
     if (!refs.empty()) order_parent_first(st, refs);
-    st.append(holder, s.correct_input, refs, when, /*byz=*/false);
+    st.append(holder, s.correct_input, refs, when);
     ++public_count;
     if (public_count >= params.k) finish(0, when);
   };
@@ -287,7 +303,7 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
           usize prev = 0;
           for (u64 d = 0; d < need; ++d) {
             const std::vector<usize> r = d == 0 ? refs : std::vector<usize>{prev};
-            prev = st.append(token.holder, byz_vote, r, token.time, /*byz=*/true);
+            prev = st.append(token.holder, byz_vote, r, token.time);
           }
           result.dumped = need;
           result.final_gap = token.time - last_correct;
@@ -299,7 +315,7 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
         // on the adversary's true (rushing) view.
         std::vector<usize> refs = st.true_tips();
         if (!refs.empty()) order_parent_first(st, refs);
-        st.append(token.holder, byz_vote, refs, token.time, /*byz=*/true);
+        st.append(token.holder, byz_vote, refs, token.time);
         ++public_count;
         ++byz_public;
       }

@@ -190,5 +190,120 @@ TEST(DagBa, ZeroAsyncDelayIsIdentityTransform) {
   }
 }
 
+// Bit-identity golden grid. The expected values were recorded from a build
+// that still found the tips by rescanning the whole history on every
+// append, before the tip frontiers became incremental; any change to a
+// tip list's contents or order would move at least one of these figures.
+struct GoldenRun {
+  u32 n, t, k;
+  double lambda;
+  DagAdversary adversary;
+  bool full_ordering;
+  SimTime async_delay;  ///< > 0: async_window 25
+  bool weighted;        ///< Byzantine nodes hold twice a correct node's weight
+  chain::PivotRule pivot_rule;
+  u64 seed;
+  // Pinned outcome.
+  bool terminated;
+  u64 total_appends, byz_in_decision_set, decision_set_size, dumped, omniscient_bound, rounds;
+};
+
+DagParams golden_params(const GoldenRun& g) {
+  DagParams p = make(g.n, g.t, g.k, g.lambda, g.adversary);
+  p.full_ordering = g.full_ordering;
+  p.pivot_rule = g.pivot_rule;
+  if (g.async_delay > 0.0) {
+    p.async_delay = g.async_delay;
+    p.async_window = 25;
+  }
+  if (g.weighted) {
+    p.weights.assign(g.n, 1.0);
+    for (u32 i = g.n - g.t; i < g.n; ++i) p.weights[i] = 2.0;
+  }
+  return p;
+}
+
+TEST(DagBa, GoldenOutcomesAreBitIdentical) {
+  const GoldenRun grid[] = {
+      {10, 3, 101, 1.0, DagAdversary::kHonestOpposite, false, 0.0, false, chain::PivotRule::kGhost, 1,
+       true, 101, 37, 101, 0, 3, 101},
+      {10, 3, 101, 1.0, DagAdversary::kHonestOpposite, false, 0.0, false, chain::PivotRule::kGhost, 2,
+       true, 101, 32, 101, 0, 4, 101},
+      {10, 3, 101, 1.0, DagAdversary::kHonestOpposite, false, 4.0, false, chain::PivotRule::kGhost, 1,
+       true, 101, 46, 101, 0, 9, 133},
+      {10, 3, 101, 1.0, DagAdversary::kHonestOpposite, false, 4.0, false, chain::PivotRule::kGhost, 2,
+       true, 102, 40, 101, 0, 11, 145},
+      {10, 3, 101, 1.0, DagAdversary::kHonestOpposite, true, 0.0, false, chain::PivotRule::kGhost, 1,
+       true, 101, 37, 101, 0, 3, 101},
+      {10, 3, 101, 1.0, DagAdversary::kHonestOpposite, true, 0.0, false, chain::PivotRule::kGhost, 2,
+       true, 101, 32, 101, 0, 4, 101},
+      {10, 3, 101, 1.0, DagAdversary::kHonestOpposite, true, 4.0, false, chain::PivotRule::kGhost, 1,
+       true, 101, 46, 101, 0, 9, 133},
+      {10, 3, 101, 1.0, DagAdversary::kHonestOpposite, true, 4.0, false, chain::PivotRule::kGhost, 2,
+       true, 102, 40, 101, 0, 11, 145},
+      {10, 3, 101, 1.0, DagAdversary::kWithholdOnly, false, 0.0, false, chain::PivotRule::kGhost, 1,
+       true, 101, 2, 101, 2, 3, 158},
+      {10, 3, 101, 1.0, DagAdversary::kWithholdOnly, false, 0.0, false, chain::PivotRule::kGhost, 2,
+       true, 101, 0, 101, 0, 4, 141},
+      {10, 3, 101, 1.0, DagAdversary::kWithholdOnly, false, 4.0, false, chain::PivotRule::kGhost, 1,
+       true, 101, 0, 101, 0, 11, 220},
+      {10, 3, 101, 1.0, DagAdversary::kWithholdOnly, false, 4.0, false, chain::PivotRule::kGhost, 2,
+       true, 101, 0, 101, 0, 7, 206},
+      {10, 3, 101, 1.0, DagAdversary::kWithholdOnly, true, 0.0, false, chain::PivotRule::kGhost, 1,
+       true, 101, 2, 101, 2, 3, 158},
+      {10, 3, 101, 1.0, DagAdversary::kWithholdOnly, true, 0.0, false, chain::PivotRule::kGhost, 2,
+       true, 101, 0, 101, 0, 4, 141},
+      {10, 3, 101, 1.0, DagAdversary::kWithholdOnly, true, 4.0, false, chain::PivotRule::kGhost, 1,
+       true, 101, 0, 101, 0, 11, 220},
+      {10, 3, 101, 1.0, DagAdversary::kWithholdOnly, true, 4.0, false, chain::PivotRule::kGhost, 2,
+       true, 101, 0, 101, 0, 7, 206},
+      {10, 3, 101, 1.0, DagAdversary::kRateAndWithhold, false, 0.0, false, chain::PivotRule::kGhost, 1,
+       true, 101, 37, 101, 0, 3, 101},
+      {10, 3, 101, 1.0, DagAdversary::kRateAndWithhold, false, 0.0, false, chain::PivotRule::kGhost, 2,
+       true, 101, 32, 101, 0, 4, 101},
+      {10, 3, 101, 1.0, DagAdversary::kRateAndWithhold, false, 4.0, false, chain::PivotRule::kGhost, 1,
+       true, 101, 46, 101, 0, 17, 133},
+      {10, 3, 101, 1.0, DagAdversary::kRateAndWithhold, false, 4.0, false, chain::PivotRule::kGhost, 2,
+       true, 101, 40, 101, 1, 11, 140},
+      {10, 3, 101, 1.0, DagAdversary::kRateAndWithhold, true, 0.0, false, chain::PivotRule::kGhost, 1,
+       true, 101, 37, 101, 0, 3, 101},
+      {10, 3, 101, 1.0, DagAdversary::kRateAndWithhold, true, 0.0, false, chain::PivotRule::kGhost, 2,
+       true, 101, 32, 101, 0, 4, 101},
+      {10, 3, 101, 1.0, DagAdversary::kRateAndWithhold, true, 4.0, false, chain::PivotRule::kGhost, 1,
+       true, 101, 46, 101, 0, 17, 133},
+      {10, 3, 101, 1.0, DagAdversary::kRateAndWithhold, true, 4.0, false, chain::PivotRule::kGhost, 2,
+       true, 101, 40, 101, 1, 11, 140},
+      {10, 3, 101, 1.0, DagAdversary::kRateAndWithhold, false, 0.0, true, chain::PivotRule::kGhost, 1,
+       true, 101, 45, 101, 0, 6, 101},
+      {10, 3, 101, 1.0, DagAdversary::kRateAndWithhold, true, 0.0, false, chain::PivotRule::kLongestChain, 1,
+       true, 101, 37, 101, 0, 3, 101},
+      {10, 3, 101, 1.0, DagAdversary::kRateAndWithhold, false, 0.0, true, chain::PivotRule::kGhost, 2,
+       true, 101, 54, 101, 2, 7, 101},
+      {10, 3, 101, 1.0, DagAdversary::kRateAndWithhold, true, 0.0, false, chain::PivotRule::kLongestChain, 2,
+       true, 101, 32, 101, 0, 4, 101},
+      {20, 6, 1001, 0.5, DagAdversary::kRateAndWithhold, false, 0.0, false, chain::PivotRule::kGhost, 1,
+       true, 1001, 307, 1001, 0, 5, 1001},
+      {20, 6, 1001, 0.5, DagAdversary::kRateAndWithhold, true, 0.0, false, chain::PivotRule::kGhost, 1,
+       true, 1001, 307, 1001, 0, 5, 1001},
+      {20, 6, 1001, 0.5, DagAdversary::kHonestOpposite, false, 4.0, false, chain::PivotRule::kGhost, 2,
+       true, 1002, 287, 1001, 0, 10, 1035},
+  };
+  for (const GoldenRun& g : grid) {
+    const DagResult res = run_dag_continuous(golden_params(g), Rng(g.seed));
+    SCOPED_TRACE(testing::Message()
+                 << "n=" << g.n << " t=" << g.t << " k=" << g.k << " adversary="
+                 << static_cast<int>(g.adversary) << " full=" << g.full_ordering
+                 << " async=" << g.async_delay << " weighted=" << g.weighted
+                 << " rule=" << static_cast<int>(g.pivot_rule) << " seed=" << g.seed);
+    EXPECT_EQ(res.outcome.terminated, g.terminated);
+    EXPECT_EQ(res.outcome.total_appends, g.total_appends);
+    EXPECT_EQ(res.outcome.byz_in_decision_set, g.byz_in_decision_set);
+    EXPECT_EQ(res.outcome.decision_set_size, g.decision_set_size);
+    EXPECT_EQ(res.dumped, g.dumped);
+    EXPECT_EQ(res.omniscient_bound, g.omniscient_bound);
+    EXPECT_EQ(res.outcome.rounds, g.rounds);
+  }
+}
+
 }  // namespace
 }  // namespace amm::proto
