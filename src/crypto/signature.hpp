@@ -115,6 +115,8 @@ class DigestBuilder {
 /// protocol node additionally calls rotate() when it compacts its decided
 /// prefix: records folded into a checkpoint are never re-verified, so
 /// their verdicts are the first to age out (checkpoint-aware eviction).
+/// A node process has one cache: the TCP transport's wire batch borrows
+/// the node's, so rotate() ages the wire verdicts along with the node's.
 class VerifyCache {
  public:
   /// `capacity` bounds hot+cold key count; 0 means unbounded (no rotation

@@ -22,6 +22,24 @@ AbdNode::AbdNode(NodeId id, Transport& net, const crypto::KeyRegistry& keys, Abd
   net_->attach(id_, [this](NodeId from, const WireMessage& msg) { handle(from, msg); });
 }
 
+NodeStats AbdNode::stats() const {
+  NodeStats s = stats_;
+  s.view_size = view_.size();
+  s.appends_issued = next_seq_;
+  // The checkpoint's count, not local fold activity: a node that adopted
+  // its checkpoint folded nothing itself but still summarizes these.
+  s.records_folded = checkpoint_.folded_records;
+  s.live_records = view_.size();
+  s.verify_cache_hits = verifier_.hits();
+  s.verify_cache_misses = verifier_.misses();
+  s.verify_cache_evictions = verifier_.evictions();
+  if (config_.storage != nullptr) {
+    s.log_bytes = config_.storage->stats().log_bytes;
+    s.snapshot_count = config_.storage->stats().snapshot_count;
+  }
+  return s;
+}
+
 u32 AbdNode::stability_cut() const {
   return watermark_.empty() ? 0 : *std::min_element(watermark_.begin(), watermark_.end());
 }
@@ -37,9 +55,8 @@ u32 AbdNode::auto_cut() const {
 void AbdNode::compact_below(u32 s_cut) {
   s_cut = std::min(s_cut, stability_cut());
   if (s_cut <= checkpoint_.folded_below) return;
-  stats_.records_folded += builder_.extend(checkpoint_, view_, s_cut);
+  builder_.extend(checkpoint_, view_, s_cut);
   checkpoint_.sig = keys_->sign(id_, checkpoint_.digest());
-  ++stats_.compactions;
   if (!config_.compact.retain_records) {
     // Summary mode: the folded bodies are summarized by the checkpoint;
     // drop them. erase_if keeps the suffix in arrival order.
@@ -159,7 +176,7 @@ void AbdNode::write_snapshot() {
   snap.checkpoint = checkpoint_;
   snap.live = view_;
   snap.sig = keys_->sign(id_, snap.digest());
-  if (config_.storage->write_snapshot(snap)) ++stats_.snapshots_written;
+  config_.storage->write_snapshot(snap);
 }
 
 u64 AbdNode::recover_from_storage() {
@@ -358,7 +375,6 @@ void AbdNode::handle(NodeId from, const WireMessage& msg) {
         auto done = std::move(ps.done);
         pending_syncs_.erase(it);
         adopt_checkpoint(agreed);
-        ++stats_.checkpoint_syncs;
         if (done) done(true);
         return;
       }

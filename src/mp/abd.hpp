@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "mp/checkpoint.hpp"
+#include "mp/node_stats.hpp"
 #include "mp/storage.hpp"
 #include "mp/transport.hpp"
 
@@ -85,7 +86,8 @@ struct AbdConfig {
   u32 max_pipeline = 32;
   /// Decided-prefix compaction (off by default: memory is unbounded).
   CompactConfig compact;
-  /// VerifyCache key capacity (0 = unbounded).
+  /// Key capacity of the node's VerifyCache, the one cache the hosting
+  /// transport's wire admission shares (0 = unbounded).
   usize verify_cache_cap = crypto::VerifyCache::kDefaultCapacity;
   /// Durable storage seam (mp/storage.hpp); nullptr = memory-only node
   /// (the pre-durability behavior, default for sim and tests). Not owned;
@@ -101,29 +103,21 @@ struct AbdConfig {
 /// Network and over the real TCP transport (net/transport.hpp).
 class AbdNode {
  public:
-  /// Wire-volume and cache counters (satellite metrics for E10/cluster).
-  struct Stats {
-    u64 reads_served_full = 0;   ///< kReadReq answered with an empty frontier
-    u64 reads_served_delta = 0;  ///< kReadReq answered above a non-empty frontier
-    u64 read_records_sent = 0;   ///< records shipped in our kReadReply messages
-    u64 read_fallbacks = 0;      ///< our delta reads that fell back to a full read
-    u64 records_folded = 0;      ///< records folded into the checkpoint
-    u64 compactions = 0;         ///< compact_below calls that advanced the cut
-    u64 parked_rejects = 0;      ///< admissions refused by the parked_ cap
-    u64 checkpoint_syncs = 0;    ///< quorum-agreed checkpoint syncs completed
-    u64 snapshots_written = 0;   ///< snapshots persisted to the storage seam
-    u64 recovery_replayed_records = 0;  ///< log records replayed at recovery
-  };
-
   AbdNode(NodeId id, Transport& net, const crypto::KeyRegistry& keys, AbdConfig config = {});
 
   NodeId id() const { return id_; }
   const AbdConfig& config() const { return config_; }
-  const Stats& stats() const { return stats_; }
+  /// Snapshot of every counter the node owns (mp/node_stats.hpp). The
+  /// transport and process fields (msgs, bytes, reconnects, auth and sig
+  /// rejects, rss) stay zero; the host fills them in.
+  NodeStats stats() const;
   u64 verify_cache_hits() const { return verifier_.hits(); }
   u64 verify_cache_misses() const { return verifier_.misses(); }
-  u64 verify_cache_evictions() const { return verifier_.evictions(); }
-  usize verify_cache_size() const { return verifier_.size(); }
+
+  /// The node's one VerifyCache. A host whose transport verifies at the
+  /// wire hands it over (TcpTransport::set_verify_cache), so the node's
+  /// own re-check of a wire-admitted signature is a cache hit.
+  crypto::VerifyCache& verify_cache() { return verifier_; }
 
   /// Local view M_v, in arrival order. In summary mode this is only the
   /// live suffix — the folded prefix lives in checkpoint().
@@ -218,7 +212,7 @@ class AbdNode {
   NodeId id_;
   Transport* net_;
   const crypto::KeyRegistry* keys_;
-  mutable crypto::VerifyCache verifier_;
+  crypto::VerifyCache verifier_;
   AbdConfig config_;
   CheckpointBuilder builder_;
   u32 quorum_;  // floor(n/2) + 1
@@ -243,7 +237,7 @@ class AbdNode {
   std::deque<QueuedAppend> append_backlog_;
   std::unordered_map<u64, PendingRead> pending_reads_;
   std::unordered_map<u64, PendingSync> pending_syncs_;
-  Stats stats_;
+  NodeStats stats_;  ///< counted in place; stats() fills the derived fields
 };
 
 /// A crashed node: attached to the network but never responds. With

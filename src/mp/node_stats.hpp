@@ -1,6 +1,11 @@
 // Unified node telemetry: every counter a hosted node exports — transport,
 // protocol, cache, compaction and (since the durable log) storage — in one
-// struct with one serialization order.
+// struct with one serialization order, filled from two sources.
+// AbdNode::stats() produces every field the node owns: view, appends,
+// reads and fallbacks, parked rejects, recovery replay, the checkpoint's
+// fold count, live records, its one VerifyCache's counters, and the
+// storage seam's log bytes and snapshot count. The host adds the six it
+// alone knows: msgs, bytes, reconnects, auth_rejects, sig_rejects, rss_kb.
 //
 // kNodeStatsFields is the single source of truth: the control-plane codec
 // (net/codec.cpp), amm_ctl's `stats` printout, amm_swarm's per-node table
@@ -31,7 +36,7 @@ struct NodeStats {
   u64 read_records_sent = 0;   ///< records shipped in this node's read replies
   u64 read_fallbacks = 0;      ///< this node's delta reads that fell back to full
   u64 verify_cache_hits = 0;   ///< signature checks answered by the verify cache
-  u64 verify_cache_misses = 0;     ///< cache probes that went to the registry
+  u64 verify_cache_misses = 0;     ///< registry checks: one per signature per node
   u64 verify_cache_evictions = 0;  ///< cache keys aged out by rotation
   u64 records_folded = 0;  ///< records summarized by the checkpoint
   u64 live_records = 0;    ///< record bodies currently held (view size)

@@ -102,40 +102,6 @@ bool verify_hello(const Hello& hello, u32 node_count, const crypto::KeyRegistry&
   return keys.verify(hello.digest(), hello.sig);
 }
 
-Admission validate_message(mp::WireMessage& msg, NodeId from, crypto::VerifyCache& verifier,
-                           u64* filtered) {
-  switch (msg.kind) {
-    case mp::WireMessage::Kind::kAppend:
-      if (msg.append.sig.signer != msg.append.author) return Admission::kReject;
-      if (!verifier.verify(msg.append.digest(), msg.append.sig)) return Admission::kReject;
-      return Admission::kDeliver;
-    case mp::WireMessage::Kind::kAck:
-      if (msg.ack_sig.signer != from) return Admission::kReject;
-      if (!verifier.verify(msg.append.digest(), msg.ack_sig)) return Admission::kReject;
-      return Admission::kDeliver;
-    case mp::WireMessage::Kind::kReadReq:
-    case mp::WireMessage::Kind::kCheckpointReq:
-      return Admission::kDeliver;
-    case mp::WireMessage::Kind::kCheckpointReply:
-      // A checkpoint speaks for its responder: the signature must be the
-      // session peer's, over the checkpoint digest.
-      if (msg.checkpoint.sig.signer != from) return Admission::kReject;
-      if (!verifier.verify(msg.checkpoint.digest(), msg.checkpoint.sig)) {
-        return Admission::kReject;
-      }
-      return Admission::kDeliver;
-    case mp::WireMessage::Kind::kReadReply: {
-      const auto invalid = [&verifier](const mp::SignedAppend& rec) {
-        return rec.sig.signer != rec.author || !verifier.verify(rec.digest(), rec.sig);
-      };
-      const auto removed = std::erase_if(msg.view, invalid);
-      if (filtered != nullptr) *filtered += removed;
-      return Admission::kDeliver;
-    }
-  }
-  return Admission::kReject;
-}
-
 Admission collect_signature_checks(mp::WireMessage& msg, NodeId from,
                                    std::vector<crypto::BatchCheck>& checks, u64* filtered) {
   switch (msg.kind) {

@@ -15,13 +15,16 @@
 // and tracks the partially written frame so frames stay atomic on the
 // wire no matter where a short write lands.
 //
-// validate_message() enforces Lemma 4.1 at the wire for the inline
-// (unbatched) path; collect_signature_checks()/apply_verify_verdicts()
-// split the same admission rule into a structural pre-check plus deferred
-// signature verification so the transport can batch one drain cycle's
-// records through crypto::verify_batch. AbdNode re-checks on its own
-// layer — the wire check exists so a compromised peer cannot even spend
-// handler CPU.
+// Lemma 4.1 at the wire has one path, in three steps. The transport
+// *collects*: collect_signature_checks() runs the structural half of
+// admission as each frame is read and queues the signature checks the
+// message still owes. It *batches*: one crypto::verify_batch per drain
+// cycle resolves every queued check against the hosted node's
+// VerifyCache. It *applies*: apply_verify_verdicts() drops or filters
+// each message by its verdicts before dispatch. AbdNode re-checks every
+// record on its own layer; since it owns that same cache, the re-check of
+// a wire-admitted signature is a hit. The wire check exists so a
+// compromised peer cannot even spend handler CPU.
 #pragma once
 
 #include <deque>
@@ -148,33 +151,19 @@ Hello make_hello(NodeId self, u64 nonce, const crypto::KeyRegistry& keys);
 /// and the claimed node id must be inside the cluster.
 bool verify_hello(const Hello& hello, u32 node_count, const crypto::KeyRegistry& keys);
 
-/// Lemma 4.1 at the wire. kAppend: author signature must verify and the
-/// signer must equal the author. kAck: the ack signature must verify and
-/// the signer must equal the session's authenticated peer (an acker cannot
-/// vote in someone else's name). kReadReply: invalidly signed records are
-/// removed from msg.view in place (`*filtered` counts them); the reply
-/// itself is still delivered. kReadReq carries no signature (the frontier
-/// is advisory: a lying frontier can only change *which* records come
-/// back, and the reader's own merge re-verifies all of them), and neither
-/// does kCheckpointReq. kCheckpointReply: the checkpoint signature must
-/// verify and its signer must equal the session's peer — a responder
-/// vouches for its own checkpoint; the quorum cross-check happens at the
-/// protocol layer.
-///
-/// Verification goes through a VerifyCache, so a record crossing this wire
-/// check and then the protocol-layer re-check (or arriving in many read
-/// replies) costs one registry verification; forged signatures are never
-/// cached and are re-rejected on every delivery.
-Admission validate_message(mp::WireMessage& msg, NodeId from, crypto::VerifyCache& verifier,
-                           u64* filtered);
-
-/// The batched split of validate_message. Performs the *structural* half
-/// of Lemma 4.1 admission immediately — kAppend signer==author, kAck
-/// signer==from, and the same filters on kReadReply records (`*filtered`
-/// counts structurally invalid records removed in place) — and appends
-/// the signature checks still owed to `checks`. Returns kReject when the
-/// message is structurally inadmissible (caller drops it without queueing
-/// any checks); kDeliver means "admissible iff its checks verify".
+/// Step one of Lemma 4.1 admission at the wire. Performs the
+/// *structural* half immediately — kAppend: signer == author; kAck:
+/// signer == the session's authenticated peer (an acker cannot vote in
+/// someone else's name); kCheckpointReply: signer == the session's peer (a
+/// responder vouches for its own checkpoint; the quorum cross-check
+/// happens at the protocol layer); kReadReply: structurally invalid
+/// records are removed from msg.view in place (`*filtered` counts them) —
+/// and appends the signature checks still owed to `checks`. kReadReq and
+/// kCheckpointReq carry no signature (a lying frontier can only change
+/// *which* records come back, and the reader's merge re-verifies all of
+/// them). Returns kReject when the message is structurally inadmissible
+/// (caller drops it without queueing any checks); kDeliver means
+/// "admissible iff its checks verify".
 Admission collect_signature_checks(mp::WireMessage& msg, NodeId from,
                                    std::vector<crypto::BatchCheck>& checks, u64* filtered);
 

@@ -49,7 +49,6 @@ constexpr int kListenBacklog = 1024;
 TcpTransport::TcpTransport(TransportConfig config, const crypto::KeyRegistry& keys, Rng rng)
     : config_(std::move(config)),
       keys_(&keys),
-      verifier_(keys, config_.verify_cache_cap),
       rng_(rng),
       links_(config_.peers.size()) {
   AMM_EXPECTS(!config_.peers.empty());
@@ -399,7 +398,8 @@ void TcpTransport::verify_and_dispatch() {
     checks_.clear();
     return;
   }
-  crypto::verify_batch(verifier_, checks_, verify_pool_);
+  AMM_EXPECTS(verifier_ != nullptr);  // set_verify_cache before traffic
+  crypto::verify_batch(*verifier_, checks_, verify_pool_);
   // Deterministic dispatch: by author, stable — per-session FIFO (the one
   // order TCP guarantees) is preserved, and the sequence no longer depends
   // on which backend fired or in what order fds became ready.

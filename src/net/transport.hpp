@@ -22,8 +22,9 @@
 //
 // Message dispatch is deterministic per author: frames admitted in one
 // drain cycle defer their signature checks into a single crypto batch,
-// then dispatch sorted by author id (stable, so per-session FIFO order —
-// the only order TCP guarantees — is preserved). The delivered message
+// run against the hosted node's VerifyCache (borrowed, not owned), then
+// dispatch sorted by author id (stable, so per-session FIFO order — the
+// only order TCP guarantees — is preserved). The delivered message
 // sequence therefore does not depend on which readiness backend fired or
 // in what order fds became ready.
 //
@@ -87,8 +88,6 @@ struct TransportConfig {
   usize outbound_high_watermark = 4u << 20;
   usize outbound_low_watermark = 1u << 20;
   usize max_write_iov = kMaxWriteIov;  ///< frames coalesced per writev
-  /// Wire-admission verify cache key capacity (0 = unbounded).
-  usize verify_cache_cap = crypto::VerifyCache::kDefaultCapacity;
 };
 
 class TcpTransport final : public mp::Transport {
@@ -139,6 +138,13 @@ class TcpTransport final : public mp::Transport {
   /// handlers.
   void set_verify_pool(ThreadPool* pool) { verify_pool_ = pool; }
 
+  /// The verify cache the batched signature sweep runs against: the
+  /// hosted node's own (AbdNode::verify_cache()), so a signature admitted
+  /// here is a hit when the node re-checks it. Required before the first
+  /// protocol message arrives; it must stay alive while the transport
+  /// polls, and is only touched between wait and dispatch.
+  void set_verify_cache(crypto::VerifyCache* cache) { verifier_ = cache; }
+
   // mp::Transport
   u32 node_count() const override { return static_cast<u32>(config_.peers.size()); }
   void attach(NodeId id, Handler handler) override;
@@ -160,9 +166,6 @@ class TcpTransport final : public mp::Transport {
   u64 frames_dropped() const { return frames_dropped_; }
   u64 backpressure_drops() const { return backpressure_drops_; }
   u64 writev_calls() const { return writev_calls_; }
-  u64 verify_cache_hits() const { return verifier_.hits(); }
-  u64 verify_cache_misses() const { return verifier_.misses(); }
-  u64 verify_cache_evictions() const { return verifier_.evictions(); }
   u32 connected_outbound() const;
   /// Unsent bytes currently buffered toward `peer` (0 if no live link).
   usize outbound_queued_bytes(NodeId peer) const;
@@ -216,11 +219,11 @@ class TcpTransport final : public mp::Transport {
 
   TransportConfig config_;
   const crypto::KeyRegistry* keys_;
-  crypto::VerifyCache verifier_;  ///< wire-admission verify cache (successes only)
   Rng rng_;
   Handler handler_;
   CtlHandler ctl_handler_;
   ThreadPool* verify_pool_ = nullptr;
+  crypto::VerifyCache* verifier_ = nullptr;  ///< the hosted node's cache
 
   std::unique_ptr<EventLoop> loop_;
   int listen_fd_ = -1;

@@ -273,6 +273,8 @@ struct BackendCluster {
       config.outbound_low_watermark = low_watermark;
       transports.push_back(
           std::make_unique<TcpTransport>(config, keys, Rng::for_stream(seed, i)));
+      caches.push_back(std::make_unique<crypto::VerifyCache>(keys));
+      transports.back()->set_verify_cache(caches.back().get());
       EXPECT_TRUE(transports.back()->start());
     }
     for (u32 i = 0; i < n; ++i) {
@@ -297,7 +299,18 @@ struct BackendCluster {
     return done();
   }
 
+  /// Hosts an AbdNode on transport i and hands the transport the node's
+  /// verify cache, as amm_node does.
+  std::unique_ptr<mp::AbdNode> host(u32 i, const mp::AbdConfig& config = {}) {
+    auto node = std::make_unique<mp::AbdNode>(NodeId{i}, *transports[i], keys, config);
+    transports[i]->set_verify_cache(&node->verify_cache());
+    return node;
+  }
+
   crypto::KeyRegistry keys;
+  /// Standalone caches for transports driven by raw handlers; host()
+  /// replaces a transport's with its node's.
+  std::vector<std::unique_ptr<crypto::VerifyCache>> caches;
   std::vector<std::unique_ptr<TcpTransport>> transports;
 };
 
@@ -359,8 +372,7 @@ std::vector<mp::SignedAppend> final_view(LoopBackend backend) {
   cluster.connect_all();
   std::vector<std::unique_ptr<mp::AbdNode>> nodes;
   for (u32 i = 0; i < 3; ++i) {
-    nodes.push_back(std::make_unique<mp::AbdNode>(NodeId{i}, *cluster.transports[i],
-                                                  cluster.keys));
+    nodes.push_back(cluster.host(i));
   }
   u32 completed = 0;
   constexpr u32 kAppends = 32;
@@ -467,8 +479,7 @@ TEST(TransportTeardown, KickFromCtlHandlerMidDispatchIsSafe) {
     cluster.connect_all();
     std::vector<std::unique_ptr<mp::AbdNode>> nodes;
     for (u32 i = 0; i < 2; ++i) {
-      nodes.push_back(std::make_unique<mp::AbdNode>(NodeId{i}, *cluster.transports[i],
-                                                    cluster.keys));
+      nodes.push_back(cluster.host(i));
     }
     u64 ctl_replies = 0;
     cluster.transports[0]->set_ctl_handler([&](u64 session, const CtlRequest& req) {
@@ -527,19 +538,18 @@ TEST(TransportTeardown, KickFromCtlHandlerMidDispatchIsSafe) {
 }
 
 TEST(TransportBatching, WritevCoalescesAndVerifyCacheBatches) {
-  // The transport-level counters prove the batch paths actually engage:
-  // writev_calls grows far slower than frames sent, and a record arriving
-  // twice (broadcast + read reply) hits the verify cache.
+  // The counters prove the batch paths actually engage: writev_calls grows
+  // far slower than frames sent, and a record arriving twice (broadcast +
+  // read reply) hits the node's verify cache, which the wire batch uses.
   BackendCluster cluster(3, LoopBackend::kAuto);
   cluster.connect_all();
-  // Full (non-delta) reads so the replies re-carry records the reader's
-  // transport already verified at broadcast time — the cache-hit path.
+  // Full (non-delta) reads so the replies re-carry records the reader
+  // already verified at broadcast time — the cache-hit path.
   mp::AbdConfig abd_config;
   abd_config.delta_reads = false;
   std::vector<std::unique_ptr<mp::AbdNode>> nodes;
   for (u32 i = 0; i < 3; ++i) {
-    nodes.push_back(std::make_unique<mp::AbdNode>(NodeId{i}, *cluster.transports[i],
-                                                  cluster.keys, abd_config));
+    nodes.push_back(cluster.host(i, abd_config));
   }
   u32 completed = 0;
   constexpr u32 kAppends = 64;
@@ -555,8 +565,8 @@ TEST(TransportBatching, WritevCoalescesAndVerifyCacheBatches) {
   for (const auto& transport : cluster.transports) {
     frames += transport->messages_sent();
     writevs += transport->writev_calls();
-    cache_hits += transport->verify_cache_hits();
   }
+  for (const auto& node : nodes) cache_hits += node->stats().verify_cache_hits;
   EXPECT_GT(writevs, 0u);
   EXPECT_LT(writevs, frames);  // strictly fewer syscalls than frames
   EXPECT_GT(cache_hits, 0u);

@@ -33,6 +33,8 @@ struct TcpCluster {
       config.backoff_max = 50ms;
       transports.push_back(
           std::make_unique<TcpTransport>(config, keys, Rng::for_stream(seed, i)));
+      caches.push_back(std::make_unique<crypto::VerifyCache>(keys));
+      transports.back()->set_verify_cache(caches.back().get());
       EXPECT_TRUE(transports.back()->start());
     }
     for (u32 i = 0; i < n; ++i) {
@@ -55,7 +57,18 @@ struct TcpCluster {
     return done();
   }
 
+  /// Hosts an AbdNode on transport i and hands the transport the node's
+  /// verify cache, as amm_node does.
+  std::unique_ptr<mp::AbdNode> host(u32 i, const mp::AbdConfig& config = {}) {
+    auto node = std::make_unique<mp::AbdNode>(NodeId{i}, *transports[i], keys, config);
+    transports[i]->set_verify_cache(&node->verify_cache());
+    return node;
+  }
+
   crypto::KeyRegistry keys;
+  /// Standalone caches for transports driven by raw handlers; host()
+  /// replaces a transport's with its node's.
+  std::vector<std::unique_ptr<crypto::VerifyCache>> caches;
   std::vector<std::unique_ptr<TcpTransport>> transports;
 };
 
@@ -63,8 +76,7 @@ TEST(TcpTransport, AbdAppendAndReadOverRealSockets) {
   TcpCluster cluster(3);
   std::vector<std::unique_ptr<mp::AbdNode>> nodes;
   for (u32 i = 0; i < 3; ++i) {
-    nodes.push_back(std::make_unique<mp::AbdNode>(NodeId{i}, *cluster.transports[i],
-                                                  cluster.keys));
+    nodes.push_back(cluster.host(i));
   }
 
   bool append_done = false;
@@ -93,8 +105,7 @@ TEST(TcpTransport, PipelinedAppendsAndDeltaReadsOverRealSockets) {
   TcpCluster cluster(3);
   std::vector<std::unique_ptr<mp::AbdNode>> nodes;
   for (u32 i = 0; i < 3; ++i) {
-    nodes.push_back(std::make_unique<mp::AbdNode>(NodeId{i}, *cluster.transports[i],
-                                                  cluster.keys));
+    nodes.push_back(cluster.host(i));
   }
 
   constexpr u32 kAppends = 48;
@@ -132,14 +143,45 @@ TEST(TcpTransport, PipelinedAppendsAndDeltaReadsOverRealSockets) {
   EXPECT_LT(records_sent, 2u * 3u * kAppends);
 }
 
+TEST(TcpTransport, FollowerVerifiesEachReceivedSignatureOnce) {
+  // One VerifyCache per node: the wire batch and the node's own re-check
+  // share it, so a follower's registry verifications (its cache misses)
+  // equal the distinct signatures it received, however often each arrived
+  // — broadcast, the node's re-check, then every full read reply.
+  TcpCluster cluster(3);
+  mp::AbdConfig full_reads;
+  full_reads.delta_reads = false;  // replies re-carry every record
+  std::vector<std::unique_ptr<mp::AbdNode>> nodes;
+  for (u32 i = 0; i < 3; ++i) nodes.push_back(cluster.host(i, full_reads));
+
+  constexpr u32 kAppends = 24;
+  u32 completed = 0;
+  for (u32 v = 0; v < kAppends; ++v) {
+    nodes[0]->begin_append(static_cast<i64>(v), [&] { ++completed; });
+  }
+  ASSERT_TRUE(cluster.pump_until(
+      [&] { return completed == kAppends && nodes[2]->local_view().size() == kAppends; }));
+  for (int round = 0; round < 2; ++round) {
+    bool read_done = false;
+    nodes[2]->begin_read([&](const std::vector<mp::SignedAppend>&) { read_done = true; });
+    ASSERT_TRUE(cluster.pump_until([&] { return read_done; }));
+  }
+
+  // Follower 2 received author 0's kAppends signatures and nothing else
+  // signed: its acks go to the author, and the replies carry the same
+  // records. Each verified once; every later sighting was a hit.
+  const mp::NodeStats stats = nodes[2]->stats();
+  EXPECT_EQ(stats.verify_cache_misses, kAppends);
+  EXPECT_GE(stats.verify_cache_hits, 2u * kAppends);
+}
+
 TEST(TcpTransport, AppendCompletesWithMinorityDown) {
   // 3-node cluster, one transport never started its node: quorum 2 of 3
   // still completes — the Lemma 4.2 liveness condition on real sockets.
   TcpCluster cluster(3);
   std::vector<std::unique_ptr<mp::AbdNode>> nodes;
   for (u32 i = 0; i < 2; ++i) {
-    nodes.push_back(std::make_unique<mp::AbdNode>(NodeId{i}, *cluster.transports[i],
-                                                  cluster.keys));
+    nodes.push_back(cluster.host(i));
   }
   cluster.transports[2]->stop();  // node 2 is dead
 
@@ -152,8 +194,7 @@ TEST(TcpTransport, ReconnectsAfterKickAndDeliversQueuedFrames) {
   TcpCluster cluster(2);
   std::vector<std::unique_ptr<mp::AbdNode>> nodes;
   for (u32 i = 0; i < 2; ++i) {
-    nodes.push_back(std::make_unique<mp::AbdNode>(NodeId{i}, *cluster.transports[i],
-                                                  cluster.keys));
+    nodes.push_back(cluster.host(i));
   }
   ASSERT_TRUE(
       cluster.pump_until([&] { return cluster.transports[0]->connected_outbound() == 1; }));
@@ -237,8 +278,7 @@ TEST(TcpTransport, DecisionRuleAgreesAcrossNodes) {
   TcpCluster cluster(3);
   std::vector<std::unique_ptr<mp::AbdNode>> nodes;
   for (u32 i = 0; i < 3; ++i) {
-    nodes.push_back(std::make_unique<mp::AbdNode>(NodeId{i}, *cluster.transports[i],
-                                                  cluster.keys));
+    nodes.push_back(cluster.host(i));
   }
   for (int v : {1, -2, 3, -4, 5}) {
     bool done = false;

@@ -147,7 +147,6 @@ int main(int argc, char** argv) {
   }
   config.outbound_high_watermark = static_cast<usize>(cli.high_watermark);
   config.outbound_low_watermark = static_cast<usize>(cli.low_watermark);
-  config.verify_cache_cap = abd_config.verify_cache_cap;
   net::TcpTransport transport(config, keys, Rng::for_stream(seed, 0x6e6f6465 + id));
   if (!transport.start()) {
     std::fprintf(stderr, "amm_node: cannot listen on %s:%u\n", host.c_str(),
@@ -162,6 +161,7 @@ int main(int argc, char** argv) {
   }
 
   mp::AbdNode node(NodeId{id}, transport, keys, abd_config);
+  transport.set_verify_cache(&node.verify_cache());
 
   // Local recovery runs before any wire activity: snapshot + log replay
   // rebuild the pre-crash view, and the advanced watermarks then make the
@@ -182,38 +182,6 @@ int main(int argc, char** argv) {
   transport.set_ctl_handler([&ctl_queue](u64 session, const net::CtlRequest& request) {
     ctl_queue.push_back(PendingCtl{session, request});
   });
-
-  const auto fill_stats = [&] {
-    mp::NodeStats stats;
-    stats.messages_sent = transport.messages_sent();
-    stats.bytes_sent = transport.bytes_sent();
-    stats.view_size = node.local_view().size();
-    stats.appends_issued = node.appends_issued();
-    stats.reconnects = transport.reconnects();
-    stats.auth_rejects = transport.auth_rejects();
-    stats.sig_rejects = transport.sig_rejects();
-    stats.reads_served_full = node.stats().reads_served_full;
-    stats.reads_served_delta = node.stats().reads_served_delta;
-    stats.read_records_sent = node.stats().read_records_sent;
-    stats.read_fallbacks = node.stats().read_fallbacks;
-    stats.verify_cache_hits = node.verify_cache_hits() + transport.verify_cache_hits();
-    stats.verify_cache_misses = node.verify_cache_misses() + transport.verify_cache_misses();
-    stats.verify_cache_evictions =
-        node.verify_cache_evictions() + transport.verify_cache_evictions();
-    // The checkpoint's count, not the local fold-activity counter: a
-    // restarted node that *adopted* its checkpoint folded nothing locally
-    // but still summarizes folded_records records.
-    stats.records_folded = node.checkpoint().folded_records;
-    stats.live_records = node.live_records();
-    stats.parked_rejects = node.stats().parked_rejects;
-    stats.rss_kb = resident_kb();
-    if (store != nullptr) {
-      stats.log_bytes = store->stats().log_bytes;
-      stats.snapshot_count = store->stats().snapshot_count;
-    }
-    stats.recovery_replayed_records = node.stats().recovery_replayed_records;
-    return stats;
-  };
 
   const auto pump_ops = [&] {
     while (!ctl_queue.empty()) {
@@ -277,7 +245,15 @@ int main(int argc, char** argv) {
         case net::CtlOp::kStats:
           reply.ok = true;
           reply.status = net::CtlStatus::kOk;
-          reply.stats = fill_stats();
+          // The node reports what it owns; only the host knows the
+          // transport's wire counters and the process's RSS.
+          reply.stats = node.stats();
+          reply.stats.messages_sent = transport.messages_sent();
+          reply.stats.bytes_sent = transport.bytes_sent();
+          reply.stats.reconnects = transport.reconnects();
+          reply.stats.auth_rejects = transport.auth_rejects();
+          reply.stats.sig_rejects = transport.sig_rejects();
+          reply.stats.rss_kb = resident_kb();
           transport.send_ctl_reply(item.session, reply);
           break;
         case net::CtlOp::kKick:

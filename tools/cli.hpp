@@ -67,7 +67,7 @@ inline void add_node_options(OptionSet& opts, NodeConfig* cfg) {
   opts.add_u32("compact-lag", &cfg->compact_lag,
                "records per author kept live behind the stability cut");
   opts.add_u64("verify-cache-cap", &cfg->verify_cache_cap,
-               "VerifyCache key capacity (0 = unbounded)");
+               "keys in the node's one VerifyCache, wire and node checks (0 = unbounded)");
   opts.add_string("store-dir", &cfg->store_dir,
                   "durable store directory (empty = memory-only, DESIGN.md §10)");
   opts.add_enum("fsync", &cfg->fsync, {"never", "interval", "always"},
