@@ -1,6 +1,7 @@
-// Micro-benchmarks for block-graph analytics: graph construction, GHOST /
-// longest-chain pivot selection and full DAG linearization on synthetic
-// DAGs of realistic shapes.
+// Micro-benchmarks for block-graph construction and the tip-to-root chain
+// walk on synthetic DAGs. Pivot selection and linearization are timed once,
+// in bench_hotpath's decision-rules table (scaling in history) and in
+// perfbench's pb_layers (the dag_ba workload shape).
 #include <benchmark/benchmark.h>
 
 #include "chain/rules.hpp"
@@ -42,35 +43,6 @@ void BM_BlockGraphBuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * blocks);
 }
 BENCHMARK(BM_BlockGraphBuild)->Arg(1000)->Arg(10000);
-
-void BM_SelectPivotGhost(benchmark::State& state) {
-  const am::AppendMemory memory = build_dag(16, 10'000, 3, 2);
-  const chain::BlockGraph graph(memory.read());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(chain::select_pivot(graph, chain::PivotRule::kGhost));
-  }
-}
-BENCHMARK(BM_SelectPivotGhost);
-
-void BM_SelectPivotLongest(benchmark::State& state) {
-  const am::AppendMemory memory = build_dag(16, 10'000, 3, 2);
-  const chain::BlockGraph graph(memory.read());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(chain::select_pivot(graph, chain::PivotRule::kLongestChain));
-  }
-}
-BENCHMARK(BM_SelectPivotLongest);
-
-void BM_LinearizeDag(benchmark::State& state) {
-  const auto blocks = static_cast<u32>(state.range(0));
-  const am::AppendMemory memory = build_dag(16, blocks, 3, 3);
-  const chain::BlockGraph graph(memory.read());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(chain::linearize_dag(graph, chain::PivotRule::kGhost));
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * blocks);
-}
-BENCHMARK(BM_LinearizeDag)->Arg(1000)->Arg(10000);
 
 void BM_ChainToDeepTip(benchmark::State& state) {
   // Pure chain of 50k blocks: tip-to-root walk.

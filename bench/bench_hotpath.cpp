@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "am/memory.hpp"
@@ -82,6 +84,26 @@ std::vector<am::MemoryView> observation_views(const am::AppendMemory& memory, u3
   }
   views.back() = memory.read();
   return views;
+}
+
+/// Min and median wall time of `reps` calls of `fn`, in milliseconds;
+/// `setup` runs untimed before each call.
+struct Spread {
+  double min_ms;
+  double med_ms;
+};
+template <typename Setup, typename Fn>
+Spread time_spread(int reps, Setup&& setup, Fn&& fn) {
+  std::vector<double> ms;
+  ms.reserve(static_cast<usize>(reps));
+  for (int r = 0; r < reps; ++r) {
+    setup();
+    const double t0 = now_seconds();
+    fn();
+    ms.push_back((now_seconds() - t0) * 1e3);
+  }
+  std::sort(ms.begin(), ms.end());
+  return {ms.front(), ms[ms.size() / 2]};
 }
 
 int reps_for(u32 history) { return history <= 2000 ? 5 : history <= 20000 ? 3 : 1; }
@@ -181,40 +203,47 @@ int main(int argc, char** argv) {
          "sort vs round-by-round cursor:");
 
   // --- Decision rules on the final graph -------------------------------
-  // The graph builds its topological order and GHOST weights lazily, on
-  // first access. "cold build" times that first access alone, each rep on a
-  // fresh graph built outside the timer; the rule columns then run warm.
-  Table rules({"n", "history", "cold build [ms]", "ghost pivot [ms]", "longest pivot [ms]",
-               "linearize [ms]"});
+  // The graph builds its topological order, GHOST weights and child lists
+  // lazily, on first access. "cold build" times that first access alone,
+  // each rep on a fresh graph built outside the timer; the rule columns then
+  // run warm. Every figure is the min and the median of the same fixed
+  // number of timed calls at every history, so rows compare like for like.
+  constexpr int kRuleReps = 7;
+  Table rules({"n", "history", "cold build min [ms]", "cold build med [ms]",
+               "ghost pivot min [ms]", "ghost pivot med [ms]", "longest pivot min [ms]",
+               "longest pivot med [ms]", "linearize min [ms]", "linearize med [ms]"});
   const auto build_lazy = [](const chain::BlockGraph& g) {
     g_sink = g_sink + g.topo_order().size() + g.subtree_weight(g.id_at(0));
   };
   for (const u32 n : ns) {
     for (const u32 history : histories) {
       const am::AppendMemory memory = build_history(n, history, h.seed + 2);
-      const int reps = reps_for(history);
 
-      double cold_ms = 1e100;
-      for (int r = 0; r < reps; ++r) {
-        const chain::BlockGraph fresh(memory.read());
-        cold_ms = std::min(cold_ms, time_ms(1, [&] { build_lazy(fresh); }));
-      }
+      std::optional<chain::BlockGraph> fresh;
+      const Spread cold = time_spread(
+          kRuleReps, [&] { fresh.emplace(memory.read()); }, [&] { build_lazy(*fresh); });
       const chain::BlockGraph graph(memory.read());
       build_lazy(graph);
 
-      const double ghost_ms = time_ms(
-          reps, [&] { g_sink = g_sink + chain::select_pivot(graph, chain::PivotRule::kGhost).size(); });
-      const double longest_ms = time_ms(reps, [&] {
-        g_sink = g_sink + chain::select_pivot(graph, chain::PivotRule::kLongestChain).size();
-      });
-      const double lin_ms = time_ms(reps, [&] {
-        g_sink = g_sink + chain::linearize_dag(graph, chain::PivotRule::kGhost).size();
-      });
-      rules.add_row({std::to_string(n), std::to_string(history), fmt(cold_ms, 3),
-                     fmt(ghost_ms, 3), fmt(longest_ms, 3), fmt(lin_ms, 3)});
+      const auto warm = [&](chain::PivotRule rule, bool linearize) {
+        return time_spread(kRuleReps, [] {}, [&] {
+          g_sink = g_sink + (linearize ? chain::linearize_dag(graph, rule).size()
+                                       : chain::select_pivot(graph, rule).size());
+        });
+      };
+      const Spread ghost = warm(chain::PivotRule::kGhost, false);
+      const Spread longest = warm(chain::PivotRule::kLongestChain, false);
+      const Spread lin = warm(chain::PivotRule::kGhost, true);
+      std::vector<std::string> row = {std::to_string(n), std::to_string(history)};
+      for (const Spread& sp : {cold, ghost, longest, lin}) {
+        row.push_back(fmt(sp.min_ms, 3));
+        row.push_back(fmt(sp.med_ms, 3));
+      }
+      rules.add_row(std::move(row));
     }
   }
-  h.emit(rules, "Decision rules on the final graph (dense per-author indexing):");
+  h.emit(rules, "Decision rules on the final graph (min and median of " +
+                    std::to_string(kRuleReps) + " calls):");
 
   // --- Decided-prefix compaction: resident record state vs history ------
   // mp layer over the simulated network (DESIGN.md §8). The unbounded node

@@ -1,34 +1,24 @@
 #include "chain/block_graph.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
 
 #include "am/order.hpp"
 
 namespace amm::chain {
+namespace {
 
-void BlockGraph::attach_child(MsgId parent, MsgId child) {
-  std::vector<MsgId>& siblings =
-      parent == kRootId ? root_children_ : nodes_[index_of(parent)].children;
-  // Keep append-time order. The common case (a fresh block extending the
-  // frontier) lands at the end in O(1); only a late-revealed old message
-  // pays the positional insert.
-  if (siblings.empty() || key_less(siblings.back(), child)) {
-    siblings.push_back(child);
-    return;
-  }
-  const auto it = std::lower_bound(siblings.begin(), siblings.end(), child,
-                                   [this](MsgId a, MsgId b) { return key_less(a, b); });
-  siblings.insert(it, child);
+/// Grows `v`'s capacity to hold `n` elements, to the next power of two —
+/// the capacities push_back would reach, in one allocation instead of
+/// log(n). Reserving an exact fit would make the next extend reallocate,
+/// and doing so on every extend would turn repeated extension into an
+/// O(total) copy per call.
+template <typename T>
+void reserve_for(std::vector<T>& v, usize n) {
+  if (n > v.capacity()) v.reserve(std::bit_ceil(n));
 }
 
-void BlockGraph::detach_child(MsgId parent, MsgId child) {
-  std::vector<MsgId>& siblings =
-      parent == kRootId ? root_children_ : nodes_[index_of(parent)].children;
-  const auto it = std::find(siblings.begin(), siblings.end(), child);
-  AMM_ASSERT(it != siblings.end());
-  siblings.erase(it);
-}
+}  // namespace
 
 void BlockGraph::extend(const MemoryView& newer) {
   AMM_EXPECTS(newer.valid());
@@ -47,31 +37,38 @@ void BlockGraph::extend(const MemoryView& newer) {
   view_ = newer;
   if (delta.empty()) return;
 
-  // Pass 1: create nodes and dense index entries. Within one register the
-  // delta arrives in sequence order, so the per-author index grows by
-  // push_back. Deliberately no reserve(size + delta): an exact-fit reserve
-  // every round defeats geometric growth and turns repeated extension into
-  // an O(total) reallocation per call.
+  // Pass 1: create nodes, dense index entries and reference-pool slots.
+  // Within one register the delta arrives in sequence order, so the
+  // per-author index grows by push_back.
   const usize first_new = nodes_.size();
+  for (u32 a = 0; a < index_.size(); ++a) reserve_for(index_[a], view_.register_len(a));
+  reserve_for(nodes_, first_new + delta.size());
+  reserve_for(order_, first_new + delta.size());
+  usize pool = ref_pos_.size();
   for (const MsgId id : delta) {
     AMM_ASSERT(index_[id.author].size() == id.seq);
     index_[id.author].push_back(static_cast<u32>(nodes_.size()));
+    const Message& m = view_.msg(id);
     Node n;
     n.id = id;
-    n.time = view_.msg(id).appended_at;
-    nodes_.push_back(std::move(n));
+    n.time = m.appended_at;
+    n.ref_off = static_cast<u32>(pool);
+    nodes_.push_back(n);
+    pool += m.refs.size();
   }
+  reserve_for(ref_pos_, pool);
+  reserve_for(ref_ids_, pool);
+  ref_pos_.resize(pool);
+  ref_ids_.resize(pool);
 
   // Canonical order: the old prefix and the delta are each sorted, so a
   // single in-place merge restores the invariant. The common case (all new
   // messages later than everything seen) is a pure append.
   const usize old_order = order_.size();
   for (usize p = first_new; p < nodes_.size(); ++p) order_.push_back(static_cast<u32>(p));
-  if (old_order != 0 &&
-      key_less(nodes_[order_[old_order]].id, nodes_[order_[old_order - 1]].id)) {
+  if (old_order != 0 && key_less(order_[old_order], order_[old_order - 1])) {
     std::inplace_merge(order_.begin(), order_.begin() + static_cast<std::ptrdiff_t>(old_order),
-                       order_.end(),
-                       [this](u32 a, u32 b) { return key_less(nodes_[a].id, nodes_[b].id); });
+                       order_.end(), [this](u32 a, u32 b) { return key_less(a, b); });
   }
 
   // Pass 2: resolve the new nodes' references. References outside the view
@@ -79,19 +76,7 @@ void BlockGraph::extend(const MemoryView& newer) {
   // parked in pending_; such a block hangs off the root until the target
   // becomes visible.
   for (usize p = first_new; p < nodes_.size(); ++p) {
-    Node& n = nodes_[p];
-    const Message& m = view_.msg(n.id);
-    n.refs.reserve(m.refs.size());
-    for (const MsgId ref : m.refs) {
-      if (view_.contains(ref)) {
-        n.refs.push_back(ref);
-        node_mut(ref).referenced = true;
-      } else {
-        pending_[ref].push_back(static_cast<u32>(p));
-      }
-    }
-    n.parent = n.refs.empty() ? kRootId : n.refs.front();
-    attach_child(n.parent, n.id);
+    nodes_[p].parent = resolve_refs(static_cast<u32>(p), /*park=*/true);
   }
 
   // Pass 3: wake waiters whose awaited target just became visible. The
@@ -99,24 +84,13 @@ void BlockGraph::extend(const MemoryView& newer) {
   // reference can reparent an existing block — exactly what a from-scratch
   // build of the larger view would have done.
   bool reparented = false;
-  for (const MsgId id : delta) {
-    const auto it = pending_.find(id);
+  for (usize i = 0; i < delta.size() && !pending_.empty(); ++i) {
+    const auto it = pending_.find(delta[i]);
     if (it == pending_.end()) continue;
     for (const u32 wp : it->second) {
-      Node& w = nodes_[wp];
-      const Message& m = view_.msg(w.id);
-      std::vector<MsgId> visible;
-      visible.reserve(m.refs.size());
-      for (const MsgId ref : m.refs) {
-        if (view_.contains(ref)) visible.push_back(ref);
-      }
-      w.refs = std::move(visible);
-      node_mut(id).referenced = true;
-      const MsgId new_parent = w.refs.empty() ? kRootId : w.refs.front();
-      if (new_parent != w.parent) {
-        detach_child(w.parent, w.id);
-        attach_child(new_parent, w.id);
-        w.parent = new_parent;
+      const u32 new_parent = resolve_refs(wp, /*park=*/false);
+      if (new_parent != nodes_[wp].parent) {
+        nodes_[wp].parent = new_parent;
         reparented = true;
       }
     }
@@ -126,33 +100,11 @@ void BlockGraph::extend(const MemoryView& newer) {
   if (reparented) {
     // Reparenting cascades through depths; recompute wholesale (cold path —
     // requires a Byzantine dangling reference resolved late).
-    recompute_all_depths();
+    for (Node& n : nodes_) n.depth = 0;
+    settle_depths(0);
     recompute_frontier();
   } else {
-    // Depths of the new nodes only, via an explicit stack (no recursion;
-    // chains can be long). A parent is either settled (depth > 0) or a new
-    // node reachable through the stack.
-    std::vector<usize> stack;
-    for (usize i = first_new; i < nodes_.size(); ++i) {
-      if (nodes_[i].depth != 0) continue;
-      stack.push_back(i);
-      while (!stack.empty()) {
-        const usize cur = stack.back();
-        Node& n = nodes_[cur];
-        if (n.parent == kRootId) {
-          n.depth = 1;
-          stack.pop_back();
-          continue;
-        }
-        const usize pi = index_of(n.parent);
-        if (nodes_[pi].depth == 0) {
-          stack.push_back(pi);
-          continue;
-        }
-        n.depth = nodes_[pi].depth + 1;
-        stack.pop_back();
-      }
-    }
+    settle_depths(first_new);
     // Frontier update, keeping deepest_ in append-time order (a new block
     // at the frontier lands at the end; a late-revealed equal-depth block
     // slots into position).
@@ -162,42 +114,56 @@ void BlockGraph::extend(const MemoryView& newer) {
         max_depth_ = n.depth;
         deepest_.clear();
       }
-      if (n.depth == max_depth_) {
-        if (deepest_.empty() || key_less(deepest_.back(), n.id)) {
-          deepest_.push_back(n.id);
-        } else {
-          const auto pos = std::lower_bound(deepest_.begin(), deepest_.end(), n.id,
-                                            [this](MsgId a, MsgId b) { return key_less(a, b); });
-          deepest_.insert(pos, n.id);
-        }
+      if (n.depth != max_depth_) continue;
+      const auto before = [this](MsgId a, MsgId b) {
+        return key_less(static_cast<u32>(index_of(a)), static_cast<u32>(index_of(b)));
+      };
+      if (deepest_.empty() || before(deepest_.back(), n.id)) {
+        deepest_.push_back(n.id);
+      } else {
+        deepest_.insert(std::lower_bound(deepest_.begin(), deepest_.end(), n.id, before), n.id);
       }
     }
   }
 
-  weights_valid_ = false;
   topo_valid_ = false;
+  weights_valid_ = false;
+  children_valid_ = false;
 }
 
-void BlockGraph::recompute_all_depths() {
-  for (Node& n : nodes_) n.depth = 0;
-  std::vector<usize> stack;
-  for (usize i = 0; i < nodes_.size(); ++i) {
+u32 BlockGraph::resolve_refs(u32 pos, bool park) {
+  Node& n = nodes_[pos];
+  u32 count = 0;
+  for (const MsgId ref : view_.msg(n.id).refs) {
+    if (view_.contains(ref)) {
+      ref_pos_[n.ref_off + count] = index_[ref.author][ref.seq];
+      ref_ids_[n.ref_off + count] = ref;
+      ++count;
+    } else if (park) {
+      pending_[ref].push_back(pos);
+    }
+  }
+  n.ref_count = count;
+  return count == 0 ? kNoPos : ref_pos_[n.ref_off];
+}
+
+void BlockGraph::settle_depths(usize from) {
+  // Iterative (chains can be long): climb to the first settled ancestor,
+  // then assign depths on the way back down. A parent is either settled or
+  // reachable this way; the stack is only used when a parent is unsettled.
+  std::vector<u32> stack;
+  for (usize i = from; i < nodes_.size(); ++i) {
     if (nodes_[i].depth != 0) continue;
-    stack.push_back(i);
-    while (!stack.empty()) {
-      const usize cur = stack.back();
-      Node& n = nodes_[cur];
-      if (n.parent == kRootId) {
-        n.depth = 1;
-        stack.pop_back();
-        continue;
-      }
-      const usize pi = index_of(n.parent);
-      if (nodes_[pi].depth == 0) {
-        stack.push_back(pi);
-        continue;
-      }
-      n.depth = nodes_[pi].depth + 1;
+    u32 cur = static_cast<u32>(i);
+    while (nodes_[cur].parent != kNoPos && nodes_[nodes_[cur].parent].depth == 0) {
+      stack.push_back(cur);
+      cur = nodes_[cur].parent;
+    }
+    for (;;) {
+      const u32 p = nodes_[cur].parent;
+      nodes_[cur].depth = p == kNoPos ? 1 : nodes_[p].depth + 1;
+      if (stack.empty()) break;
+      cur = stack.back();
       stack.pop_back();
     }
   }
@@ -212,68 +178,95 @@ void BlockGraph::recompute_frontier() {
   }
 }
 
-void BlockGraph::ensure_weights() const {
-  if (weights_valid_) return;
-  // GHOST weights — accumulate bottom-up by descending depth.
+void BlockGraph::build_topo() const {
+  // Deterministic topological order over all visible ref edges: Kahn, with
+  // the ready set processed in append order through a FIFO seeded in
+  // canonical order. The FIFO is topo_pos_ itself — every block enters it
+  // once, in exactly the order it leaves.
+  const usize n = nodes_.size();
+  std::vector<u32> in_degree(n);
+  std::vector<u32> off(n + 1, 0);  // referrer CSR: ref -> referrers
+  for (usize p = 0; p < n; ++p) {
+    in_degree[p] = nodes_[p].ref_count;
+    for (const u32 q : refs_at(static_cast<u32>(p))) ++off[q + 1];
+  }
+  for (usize q = 0; q < n; ++q) off[q + 1] += off[q];
+  std::vector<u32> referrers(off[n]);
+  std::vector<u32> cursor(off.begin(), off.end() - 1);
+  for (const u32 p : order_) {  // each list in append order
+    for (const u32 q : refs_at(p)) referrers[cursor[q]++] = p;
+  }
+
+  topo_pos_.clear();
+  topo_pos_.reserve(n);
+  for (const u32 p : order_) {
+    if (in_degree[p] == 0) topo_pos_.push_back(p);
+  }
+  for (usize head = 0; head < topo_pos_.size(); ++head) {
+    const u32 p = topo_pos_[head];
+    for (u32 e = off[p]; e < off[p + 1]; ++e) {
+      if (--in_degree[referrers[e]] == 0) topo_pos_.push_back(referrers[e]);
+    }
+  }
+  AMM_ENSURES(topo_pos_.size() == n);  // views are acyclic by construction
+
+  topo_.resize(n);
+  topo_rank_.resize(n);
+  for (usize i = 0; i < n; ++i) {
+    topo_[i] = nodes_[topo_pos_[i]].id;
+    topo_rank_[topo_pos_[i]] = static_cast<u32>(i);
+  }
+  topo_valid_ = true;
+}
+
+void BlockGraph::build_weights() const {
+  // GHOST weights, accumulated bottom-up in reverse topological order:
+  // parent edges are reference edges, so every child is folded into its
+  // parent before the parent is folded into its own.
+  const std::vector<u32>& topo = topo_positions();
   weights_.assign(nodes_.size(), 1);
-  std::vector<u32> by_depth(order_);
-  std::stable_sort(by_depth.begin(), by_depth.end(),
-                   [this](u32 a, u32 b) { return nodes_[a].depth > nodes_[b].depth; });
-  for (const u32 p : by_depth) {
-    const Node& n = nodes_[p];
-    if (n.parent != kRootId) weights_[index_of(n.parent)] += weights_[p];
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const u32 parent = nodes_[*it].parent;
+    if (parent != kNoPos) weights_[parent] += weights_[*it];
   }
   weights_valid_ = true;
 }
 
-void BlockGraph::ensure_topo() const {
-  if (topo_valid_) return;
-  // Deterministic topological order over all visible ref edges (Kahn; ready
-  // set processed in append order via a FIFO seeded in canonical order).
-  topo_.clear();
-  topo_.reserve(nodes_.size());
-  std::vector<u32> in_degree(nodes_.size(), 0);
-  for (usize p = 0; p < nodes_.size(); ++p) {
-    in_degree[p] = static_cast<u32>(nodes_[p].refs.size());
-  }
-  std::deque<u32> ready;
+void BlockGraph::build_children() const {
+  // Parent-edge child lists as one CSR array (bucket block_count() is the
+  // root's), each filled in append order.
+  const usize n = nodes_.size();
+  child_off_.assign(n + 2, 0);
+  for (const Node& node : nodes_) ++child_off_[bucket(node.parent) + 1];
+  for (usize b = 0; b <= n; ++b) child_off_[b + 1] += child_off_[b];
+  std::vector<u32> cursor(child_off_.begin(), child_off_.end() - 1);
+  child_pos_.resize(n);
+  child_ids_.resize(n);
   for (const u32 p : order_) {
-    if (in_degree[p] == 0) ready.push_back(p);
+    const u32 slot = cursor[bucket(nodes_[p].parent)]++;
+    child_pos_[slot] = p;
+    child_ids_[slot] = nodes_[p].id;
   }
-  // Out-edge lists: ref -> referrers, referrers in append order.
-  std::vector<std::vector<u32>> referrers(nodes_.size());
-  for (const u32 p : order_) {
-    for (const MsgId ref : nodes_[p].refs) {
-      referrers[index_of(ref)].push_back(p);
-    }
-  }
-  while (!ready.empty()) {
-    const u32 p = ready.front();
-    ready.pop_front();
-    topo_.push_back(nodes_[p].id);
-    for (const u32 j : referrers[p]) {
-      if (--in_degree[j] == 0) ready.push_back(j);
-    }
-  }
-  AMM_ENSURES(topo_.size() == nodes_.size());  // views are acyclic by construction
-  topo_valid_ = true;
+  children_valid_ = true;
 }
 
 std::vector<MsgId> BlockGraph::tips() const {
+  std::vector<u8> referenced(nodes_.size(), 0);
+  for (usize p = 0; p < nodes_.size(); ++p) {
+    for (const u32 q : refs_at(static_cast<u32>(p))) referenced[q] = 1;
+  }
   std::vector<MsgId> result;
   for (const u32 p : order_) {
-    const Node& n = nodes_[p];
-    if (n.children.empty() && !n.referenced) result.push_back(n.id);
+    if (referenced[p] == 0) result.push_back(nodes_[p].id);
   }
   return result;
 }
 
 std::vector<MsgId> BlockGraph::chain_to(MsgId tip) const {
   std::vector<MsgId> chain;
-  MsgId cur = tip;
-  while (cur != kRootId) {
-    chain.push_back(cur);
-    cur = parent(cur);
+  if (tip == kRootId) return chain;
+  for (u32 cur = static_cast<u32>(index_of(tip)); cur != kNoPos; cur = nodes_[cur].parent) {
+    chain.push_back(nodes_[cur].id);
   }
   std::reverse(chain.begin(), chain.end());
   return chain;

@@ -12,9 +12,25 @@
 // of reconstructing the whole graph. Protocols that observe a growing view
 // carry one graph across rounds; an extension costs O(delta) for the graph
 // structure, while the order-dependent analytics (GHOST weights, the
-// deterministic topological order) are recomputed lazily on first access
-// after a change. Extending to view V yields a graph bit-identical to
-// `BlockGraph(V)` built from scratch — the property tests assert this.
+// deterministic topological order, the parent-edge child lists) are
+// recomputed lazily on first access after a change. Extending to view V
+// yields a graph bit-identical to `BlockGraph(V)` built from scratch — the
+// property tests assert this.
+//
+// Layout. Blocks live at dense positions (ingestion order, stable across
+// extends); every edge is stored as a position, so the analytics index flat
+// arrays and never hash or chase per-block heap vectors. A block's node is
+// a fixed 32-byte record (id, time, parent position, depth, and an offset
+// and count into one shared reference pool). The pool reserves each block
+// its message's full reference count, so a late-revealed reference is
+// resolved in place. The lazy analytics are compressed-sparse-row arrays
+// built by counting sort: referrers per block (for Kahn's topological
+// order, filled in append order with a vector FIFO) and parent-edge
+// children per block (append order; one extra bucket for the root). GHOST
+// weights accumulate in reverse topological order — parent edges are a
+// subset of reference edges, so every child precedes its parent there.
+// MsgId mirrors of the reference pool, the child lists and the order back
+// the id-valued accessors.
 #pragma once
 
 #include <span>
@@ -35,6 +51,9 @@ inline constexpr MsgId kRootId{~u32{0}, ~u32{0}};
 
 class BlockGraph {
  public:
+  /// Position of the virtual root in the positional accessors.
+  static constexpr u32 kNoPos = ~u32{0};
+
   /// An empty graph; bound to a memory by the first extend().
   BlockGraph() = default;
 
@@ -56,8 +75,7 @@ class BlockGraph {
 
   /// Dense position of `id` in [0, block_count()): MsgId = (author, seq) is
   /// a perfect 2D index, so the lookup is two array loads — no hashing.
-  /// Positions are stable across extend() calls. Hot-path analytics
-  /// (chain/rules.cpp) use positions to replace hash maps with flat arrays.
+  /// Positions are stable across extend() calls.
   usize index_of(MsgId id) const {
     AMM_EXPECTS(contains(id));
     return index_[id.author][id.seq];
@@ -69,24 +87,29 @@ class BlockGraph {
   /// Parent in the chain sense (first reference), kRootId for ref-less
   /// messages. Unseen parents (possible for Byzantine messages referencing
   /// appends outside this view) also map to kRootId.
-  MsgId parent(MsgId id) const { return node(id).parent; }
+  MsgId parent(MsgId id) const {
+    const u32 p = node(id).parent;
+    return p == kNoPos ? kRootId : nodes_[p].id;
+  }
 
   /// Depth = distance from the virtual root along parent edges (root = 0).
   u32 depth(MsgId id) const { return node(id).depth; }
 
   /// Number of blocks in the subtree rooted at `id` (including itself)
   /// under parent edges — the GHOST weight.
-  u32 subtree_weight(MsgId id) const {
-    ensure_weights();
-    return weights_[index_of(id)];
-  }
+  u32 subtree_weight(MsgId id) const { return weight_at(static_cast<u32>(index_of(id))); }
 
   /// Children along parent edges, in append-time order.
-  std::span<const MsgId> children(MsgId id) const { return node(id).children; }
-  std::span<const MsgId> root_children() const { return root_children_; }
+  std::span<const MsgId> children(MsgId id) const {
+    return child_ids(static_cast<u32>(index_of(id)));
+  }
+  std::span<const MsgId> root_children() const { return child_ids(kNoPos); }
 
   /// All references of `id` that are visible in the view (parent included).
-  std::span<const MsgId> refs(MsgId id) const { return node(id).refs; }
+  std::span<const MsgId> refs(MsgId id) const {
+    const Node& n = node(id);
+    return {ref_ids_.data() + n.ref_off, n.ref_count};
+  }
 
   const Message& msg(MsgId id) const { return view_.msg(id); }
 
@@ -97,8 +120,9 @@ class BlockGraph {
   /// states in the longest chains" of Algorithm 5.
   const std::vector<MsgId>& deepest_blocks() const { return deepest_; }
 
-  /// Blocks without children along parent edges *and* never referenced by
-  /// any other visible block — the DAG tips Algorithm 6 appends to.
+  /// Blocks never referenced by any other visible block (so without
+  /// parent-edge children either), in append-time order — the DAG tips
+  /// Algorithm 6 appends to.
   std::vector<MsgId> tips() const;
 
   /// The chain from the root to `tip` (root excluded), oldest first.
@@ -107,49 +131,89 @@ class BlockGraph {
   /// Blocks in a deterministic topological order (parents and referenced
   /// blocks before referrers; ties by append order).
   const std::vector<MsgId>& topo_order() const {
-    ensure_topo();
+    if (!topo_valid_) build_topo();
     return topo_;
+  }
+
+  // Positional accessors: the same graph by dense position, for the hot
+  // decision rules (chain/rules.cpp). kNoPos stands for the virtual root.
+
+  u32 parent_at(u32 pos) const { return nodes_[pos].parent; }
+  u32 depth_at(u32 pos) const { return nodes_[pos].depth; }
+  std::span<const u32> refs_at(u32 pos) const {
+    const Node& n = nodes_[pos];
+    return {ref_pos_.data() + n.ref_off, n.ref_count};
+  }
+  /// Parent-edge children of `pos` (kNoPos: the root's), append-time order.
+  std::span<const u32> children_at(u32 pos) const {
+    if (!children_valid_) build_children();
+    const usize b = bucket(pos);
+    return {child_pos_.data() + child_off_[b], child_off_[b + 1] - child_off_[b]};
+  }
+  /// topo_order() as positions.
+  const std::vector<u32>& topo_positions() const {
+    if (!topo_valid_) build_topo();
+    return topo_pos_;
+  }
+  /// Index of block `pos` in topo_order().
+  u32 topo_rank(u32 pos) const {
+    if (!topo_valid_) build_topo();
+    return topo_rank_[pos];
+  }
+  u32 weight_at(u32 pos) const {
+    if (!weights_valid_) build_weights();
+    return weights_[pos];
   }
 
  private:
   struct Node {
     MsgId id;
-    MsgId parent = kRootId;
-    SimTime time = 0.0;           // appended_at, cached for order keys
+    SimTime time = 0.0;  // appended_at, cached for order keys
+    u32 parent = kNoPos;
     u32 depth = 0;
-    std::vector<MsgId> refs;      // visible refs only, in message order
-    std::vector<MsgId> children;  // parent-edge children, append-time order
-    bool referenced = false;      // appears in someone's ref list
+    u32 ref_off = 0;    // this block's slots in ref_pos_/ref_ids_ ...
+    u32 ref_count = 0;  // ... of which the first ref_count are visible
   };
 
   const Node& node(MsgId id) const { return nodes_[index_of(id)]; }
-  Node& node_mut(MsgId id) { return nodes_[index_of(id)]; }
 
   /// Canonical (appended_at, id) order — the order a from-scratch build
   /// ingests nodes in.
-  bool key_less(MsgId a, MsgId b) const {
-    const Node& na = nodes_[index_of(a)];
-    const Node& nb = nodes_[index_of(b)];
+  bool key_less(u32 a, u32 b) const {
+    const Node& na = nodes_[a];
+    const Node& nb = nodes_[b];
     if (na.time != nb.time) return na.time < nb.time;
-    return a < b;
+    return na.id < nb.id;
   }
 
-  void attach_child(MsgId parent, MsgId child);
-  void detach_child(MsgId parent, MsgId child);
-  void recompute_all_depths();
+  usize bucket(u32 pos) const { return pos == kNoPos ? nodes_.size() : pos; }
+  std::span<const MsgId> child_ids(u32 pos) const {
+    if (!children_valid_) build_children();
+    const usize b = bucket(pos);
+    return {child_ids_.data() + child_off_[b], child_off_[b + 1] - child_off_[b]};
+  }
+
+  /// Writes the visible references of block `pos` into its pool slots and
+  /// returns its parent position; references outside the view are parked
+  /// in pending_ when `park` is set.
+  u32 resolve_refs(u32 pos, bool park);
+  /// Depths of every block at position >= `from` whose depth is 0.
+  void settle_depths(usize from);
   void recompute_frontier();
 
-  // Lazy analytics: recomputed on first access after an extend. NOT
+  // Lazy analytics: rebuilt on first access after an extend. NOT
   // thread-safe for concurrent first access — a graph belongs to one
   // simulation trial (Core Guidelines CP.3), like the memory it reads.
-  void ensure_weights() const;
-  void ensure_topo() const;
+  void build_topo() const;
+  void build_weights() const;
+  void build_children() const;
 
   MemoryView view_;
   std::vector<Node> nodes_;              // ingestion order; positions stable
   std::vector<std::vector<u32>> index_;  // [author][seq] -> position (dense)
   std::vector<u32> order_;               // positions in (appended_at, id) order
-  std::vector<MsgId> root_children_;     // append-time order
+  std::vector<u32> ref_pos_;             // reference pool, by position ...
+  std::vector<MsgId> ref_ids_;           // ... and its MsgId mirror
   std::vector<MsgId> deepest_;           // append-time order
   u32 max_depth_ = 0;
   /// Unresolved references (targets outside every view seen so far) ->
@@ -157,10 +221,16 @@ class BlockGraph {
   /// their observer has not seen, so a hash map is fine here.
   std::unordered_map<MsgId, std::vector<u32>> pending_;
 
-  mutable std::vector<u32> weights_;  // by position; valid iff weights_valid_
   mutable std::vector<MsgId> topo_;
-  mutable bool weights_valid_ = false;
+  mutable std::vector<u32> topo_pos_;   // topo_ as positions
+  mutable std::vector<u32> topo_rank_;  // by position: index in topo_
+  mutable std::vector<u32> weights_;    // by position
+  mutable std::vector<u32> child_off_;  // CSR offsets, block_count() + 2 (root last)
+  mutable std::vector<u32> child_pos_;
+  mutable std::vector<MsgId> child_ids_;
   mutable bool topo_valid_ = false;
+  mutable bool weights_valid_ = false;
+  mutable bool children_valid_ = false;
 };
 
 }  // namespace amm::chain

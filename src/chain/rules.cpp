@@ -17,99 +17,98 @@ MsgId choose_longest_tip(const BlockGraph& graph, TieBreak rule, Rng& rng) {
   return kRootId;
 }
 
-std::vector<MsgId> select_pivot(const BlockGraph& graph, PivotRule rule) {
-  std::vector<MsgId> pivot;
+namespace {
+
+/// select_pivot by dense position.
+std::vector<u32> pivot_positions(const BlockGraph& graph, PivotRule rule) {
+  std::vector<u32> pivot;
   if (graph.block_count() == 0) return pivot;
 
-  // The longest-chain rule needs, per block, the height of the deepest
-  // descendant. Compute it once, bottom-up by descending depth; GHOST reads
-  // the graph's subtree weights instead and skips this pass. MsgId is a
-  // perfect index into the graph's dense positions, so this is a flat array
-  // rather than a hash map.
-  std::vector<u32> max_reach;  // deepest depth reachable in subtree
+  // The longest-chain rule needs, per block, the deepest depth reachable in
+  // its subtree. Reverse topological order visits every child before its
+  // parent (parent edges are a subset of reference edges), so each block
+  // pushes its reach up one edge. GHOST reads the graph's subtree weights
+  // instead and skips this pass.
+  std::vector<u32> reach;
   if (rule == PivotRule::kLongestChain) {
-    max_reach.resize(graph.block_count());
-    const std::vector<MsgId>& order = graph.topo_order();
-    // Process leaves first: reverse topological order works because parent
-    // edges are a subset of reference edges.
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      u32 reach = graph.depth(*it);
-      for (const MsgId c : graph.children(*it)) {
-        reach = std::max(reach, max_reach[graph.index_of(c)]);
-      }
-      max_reach[graph.index_of(*it)] = reach;
+    reach.assign(graph.block_count(), 0);
+    const std::vector<u32>& topo = graph.topo_positions();
+    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+      const u32 p = *it;
+      reach[p] = std::max(reach[p], graph.depth_at(p));
+      const u32 parent = graph.parent_at(p);
+      if (parent != BlockGraph::kNoPos) reach[parent] = std::max(reach[parent], reach[p]);
     }
   }
-
-  auto pick = [&](std::span<const MsgId> children) -> MsgId {
-    AMM_EXPECTS(!children.empty());
-    MsgId best = children.front();
-    for (const MsgId c : children.subspan(1)) {
-      const bool better =
-          rule == PivotRule::kGhost
-              ? graph.subtree_weight(c) > graph.subtree_weight(best)
-              : max_reach[graph.index_of(c)] > max_reach[graph.index_of(best)];
-      if (better) best = c;
-    }
-    return best;
+  const auto score = [&](u32 p) {
+    return rule == PivotRule::kGhost ? graph.weight_at(p) : reach[p];
   };
 
-  std::span<const MsgId> frontier = graph.root_children();
-  while (!frontier.empty()) {
-    const MsgId next = pick(frontier);
-    pivot.push_back(next);
-    frontier = graph.children(next);
+  for (std::span<const u32> frontier = graph.children_at(BlockGraph::kNoPos); !frontier.empty();
+       frontier = graph.children_at(pivot.back())) {
+    u32 best = frontier.front();
+    u32 best_score = score(best);
+    for (const u32 c : frontier.subspan(1)) {
+      const u32 s = score(c);
+      if (s > best_score) {  // strict: ties stay with the earliest child
+        best = c;
+        best_score = s;
+      }
+    }
+    pivot.push_back(best);
   }
   return pivot;
 }
 
+}  // namespace
+
+std::vector<MsgId> select_pivot(const BlockGraph& graph, PivotRule rule) {
+  const std::vector<u32> positions = pivot_positions(graph, rule);
+  std::vector<MsgId> pivot;
+  pivot.reserve(positions.size());
+  for (const u32 p : positions) pivot.push_back(graph.id_at(p));
+  return pivot;
+}
+
 std::vector<MsgId> linearize_dag(const BlockGraph& graph, PivotRule rule) {
-  const std::vector<MsgId> pivot = select_pivot(graph, rule);
+  const std::vector<u32> pivot = pivot_positions(graph, rule);
 
   // Epoch assignment: a non-pivot block belongs to the epoch of the first
   // pivot block that (transitively) references it. Walking the global topo
-  // order once per pivot step would be quadratic; instead assign epochs by
-  // a reverse scan: process pivot blocks in order, collecting not-yet-
-  // emitted ancestors via DFS over reference edges. All bookkeeping is by
-  // dense position — no hashing on the hot path.
-  std::vector<u8> emitted(graph.block_count(), 0);
+  // order once per pivot step would be quadratic; instead process pivot
+  // blocks in order, collecting not-yet-emitted ancestors via DFS over
+  // reference edges. An epoch is collected as topo ranks, so sorting it
+  // into the global deterministic topo order is a plain integer sort.
+  const usize n = graph.block_count();
+  const std::vector<MsgId>& topo = graph.topo_order();
+  std::vector<u8> emitted(n, 0);
   std::vector<MsgId> order;
-  order.reserve(graph.block_count());
-
-  // Position in the global deterministic topo order, for stable epoch-
-  // internal ordering.
-  std::vector<usize> topo_pos(graph.block_count());
-  for (usize i = 0; i < graph.topo_order().size(); ++i) {
-    topo_pos[graph.index_of(graph.topo_order()[i])] = i;
-  }
-
-  std::vector<MsgId> stack;
-  std::vector<MsgId> epoch;
-  for (const MsgId p : pivot) {
+  order.reserve(n);
+  std::vector<u32> stack;
+  std::vector<u32> epoch;
+  for (const u32 p : pivot) {
     epoch.clear();
     stack.push_back(p);
     while (!stack.empty()) {
-      const MsgId cur = stack.back();
+      const u32 cur = stack.back();
       stack.pop_back();
-      u8& mark = emitted[graph.index_of(cur)];
-      if (mark != 0) continue;
-      mark = 1;
-      epoch.push_back(cur);
-      for (const MsgId ref : graph.refs(cur)) {
-        if (emitted[graph.index_of(ref)] == 0) stack.push_back(ref);
+      if (emitted[cur] != 0) continue;
+      emitted[cur] = 1;
+      epoch.push_back(graph.topo_rank(cur));
+      for (const u32 ref : graph.refs_at(cur)) {
+        if (emitted[ref] == 0) stack.push_back(ref);
       }
     }
-    std::sort(epoch.begin(), epoch.end(), [&](MsgId a, MsgId b) {
-      return topo_pos[graph.index_of(a)] < topo_pos[graph.index_of(b)];
-    });
-    order.insert(order.end(), epoch.begin(), epoch.end());
+    std::sort(epoch.begin(), epoch.end());
+    for (const u32 rank : epoch) order.push_back(topo[rank]);
   }
   // Blocks unreachable from the pivot (withheld side branches nobody
   // referenced) are appended last in topo order, so the output is total.
-  for (const MsgId id : graph.topo_order()) {
-    if (emitted[graph.index_of(id)] == 0) order.push_back(id);
+  const std::vector<u32>& topo_pos = graph.topo_positions();
+  for (usize rank = 0; rank < n; ++rank) {
+    if (emitted[topo_pos[rank]] == 0) order.push_back(topo[rank]);
   }
-  AMM_ENSURES(order.size() == graph.block_count());
+  AMM_ENSURES(order.size() == n);
   return order;
 }
 

@@ -281,12 +281,15 @@ Outcome run_chain_slotted(const ChainParams& params, Rng rng) {
   const double correct_rate = params.lambda * static_cast<double>(s.correct_count());
   const double byz_rate = params.lambda * static_cast<double>(s.t);
 
+  // Per-slot buffers, reused across slots.
+  std::vector<usize> start_deepest;
+  std::vector<u8> labels;
   for (u64 slot = 0; slot < params.max_slots; ++slot) {
     const SimTime slot_start = static_cast<SimTime>(slot) * params.delta;
 
     // Snapshot of the deepest blocks as of the slot start: every correct
     // append of this slot is concurrent and acts on this stale state.
-    const std::vector<usize> start_deepest = st.deepest();
+    start_deepest.assign(st.deepest().begin(), st.deepest().end());
     const bool genesis = st.size() == 0;
 
     const u64 c_tokens = token_rng.poisson(correct_rate);
@@ -294,9 +297,7 @@ Outcome run_chain_slotted(const ChainParams& params, Rng rng) {
 
     // Interleave correct/Byzantine token order uniformly at random within
     // the slot (the merged Poisson process is exchangeable within Δ).
-    std::vector<u8> labels;
-    labels.reserve(c_tokens + b_tokens);
-    labels.insert(labels.end(), c_tokens, u8{0});
+    labels.assign(c_tokens, u8{0});
     labels.insert(labels.end(), b_tokens, u8{1});
     token_rng.shuffle(labels);
 

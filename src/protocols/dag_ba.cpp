@@ -5,6 +5,7 @@
 #include <deque>
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "am/memory.hpp"
@@ -21,8 +22,8 @@ namespace {
 /// correct node acts on. Both frontiers are kept incrementally instead of
 /// rescanning the history on every append (that would make trials
 /// quadratic in the cut size k); an update costs O(refs + tips). The lists
-/// hold local indices in ascending append order, which order_parent_first's
-/// tie toward the oldest tip relies on.
+/// hold local indices in ascending append order, which parent_first's tie
+/// toward the oldest tip relies on.
 class DagState {
  public:
   explicit DagState(u32 node_count) : memory_(node_count) {}
@@ -44,7 +45,7 @@ class DagState {
   }
 
   /// Appends a block referencing `refs` (local indices; refs[0] = parent).
-  usize append(NodeId author, Vote vote, const std::vector<usize>& refs, SimTime now) {
+  usize append(NodeId author, Vote vote, std::span<const usize> refs, SimTime now) {
     std::vector<am::MsgId> ref_ids;
     ref_ids.reserve(refs.size());
     for (const usize r : refs) ref_ids.push_back(recs_[r].id);
@@ -53,9 +54,11 @@ class DagState {
     Rec rec;
     rec.id = id;
     rec.time = now;
-    rec.refs = refs;
     rec.depth = refs.empty() ? 1 : recs_[refs.front()].depth + 1;
-    recs_.push_back(std::move(rec));
+    rec.ref_off = ref_pool_.size();
+    rec.ref_count = refs.size();
+    ref_pool_.insert(ref_pool_.end(), refs.begin(), refs.end());
+    recs_.push_back(rec);
 
     const usize idx = recs_.size() - 1;
     advance_frontier(true_tips_, idx, refs);
@@ -63,21 +66,21 @@ class DagState {
   }
 
   usize size() const { return recs_.size(); }
-  u32 depth(usize i) const { return recs_[i].depth; }
 
-  /// True current tips (the adversary's rushing view), ascending.
-  const std::vector<usize>& true_tips() const { return true_tips_; }
+  /// References for a block on the true current tips (the adversary's
+  /// rushing view), parent first.
+  std::span<const usize> true_refs() { return parent_first(true_tips_); }
 
-  /// Tips of the view as of `horizon` (correct nodes' stale read), ascending.
-  /// The frontier only moves forward; callers must pass non-decreasing
-  /// horizons.
-  const std::vector<usize>& stale_tips(SimTime horizon) {
+  /// References for a block on the tips of the view as of `horizon`
+  /// (correct nodes' stale read), parent first. The stale frontier only
+  /// moves forward; callers must pass non-decreasing horizons.
+  std::span<const usize> stale_refs(SimTime horizon) {
     while (stale_ptr_ < recs_.size() && recs_[stale_ptr_].time < horizon) {
-      advance_frontier(stale_tips_, stale_ptr_, recs_[stale_ptr_].refs);
+      advance_frontier(stale_tips_, stale_ptr_, refs_of(stale_ptr_));
       ++stale_ptr_;
     }
     stale_horizon_ = horizon;
-    return stale_tips_;
+    return parent_first(stale_tips_);
   }
 
  private:
@@ -85,13 +88,32 @@ class DagState {
     am::MsgId id;
     SimTime time = 0.0;
     u32 depth = 1;
-    std::vector<usize> refs;
+    usize ref_off = 0;  // this block's references in ref_pool_
+    usize ref_count = 0;
   };
+
+  std::span<const usize> refs_of(usize i) const {
+    return {ref_pool_.data() + recs_[i].ref_off, recs_[i].ref_count};
+  }
+
+  /// Copies ascending `tips` into a reused buffer with the parent
+  /// (refs[0]) moved to the front: the deepest tip, ties toward the oldest
+  /// — the longest-chain attachment every cited DAG rule uses.
+  std::span<const usize> parent_first(const std::vector<usize>& tips) {
+    ref_buf_.assign(tips.begin(), tips.end());
+    if (ref_buf_.empty()) return ref_buf_;
+    usize best = 0;
+    for (usize i = 1; i < ref_buf_.size(); ++i) {
+      if (recs_[ref_buf_[i]].depth > recs_[ref_buf_[best]].depth) best = i;
+    }
+    std::swap(ref_buf_[0], ref_buf_[best]);
+    return ref_buf_;
+  }
 
   /// Admits block `idx` to an ascending tip list: every block it references
   /// stops being a tip, and `idx` (newer than all of them) becomes one.
   static void advance_frontier(std::vector<usize>& tips, usize idx,
-                               const std::vector<usize>& refs) {
+                               std::span<const usize> refs) {
     for (const usize r : refs) {
       const auto it = std::lower_bound(tips.begin(), tips.end(), r);
       if (it != tips.end() && *it == r) tips.erase(it);
@@ -113,6 +135,8 @@ class DagState {
   am::AppendMemory memory_;
   check::MemoryAuditor auditor_;
   std::vector<Rec> recs_;
+  std::vector<usize> ref_pool_;  // every block's references, back to back
+  std::vector<usize> ref_buf_;   // the reference list being built
   std::vector<usize> true_tips_;
   std::vector<usize> stale_tips_;
   usize stale_ptr_ = 0;
@@ -120,17 +144,6 @@ class DagState {
   /// read_at() return the empty view, matching an empty stale frontier.
   SimTime stale_horizon_ = -std::numeric_limits<SimTime>::infinity();
 };
-
-/// Chooses the parent (refs[0]) among tips: the deepest one, ties toward
-/// the oldest — the longest-chain attachment every cited DAG rule uses.
-void order_parent_first(const DagState& st, std::vector<usize>& tips) {
-  AMM_EXPECTS(!tips.empty());
-  usize best = 0;
-  for (usize i = 1; i < tips.size(); ++i) {
-    if (st.depth(tips[i]) > st.depth(tips[best])) best = i;
-  }
-  std::swap(tips[0], tips[best]);
-}
 
 }  // namespace
 
@@ -250,11 +263,10 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
       // before this correct append), where the inclusive DAG orders them
       // like ordinary rate-attack blocks. Withholding is therefore never
       // worse than the pure rate attack.
-      std::vector<usize> refs = st.true_tips();
-      if (!refs.empty()) order_parent_first(st, refs);
       for (u64 d = 0; d < bank && public_count < params.k; ++d) {
-        const std::vector<usize> r = d == 0 ? refs : std::vector<usize>{st.size() - 1};
-        st.append(NodeId{s.n - 1}, byz_vote, r, when);
+        const usize prev = d == 0 ? 0 : st.size() - 1;
+        st.append(NodeId{s.n - 1}, byz_vote,
+                  d == 0 ? st.true_refs() : std::span<const usize>(&prev, 1), when);
         ++public_count;
         ++byz_public;
       }
@@ -266,9 +278,7 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
     bank = 0;  // withhold-only: a correct append outruns the private chain
     last_correct = when;
 
-    std::vector<usize> refs = st.stale_tips(when - params.delta);
-    if (!refs.empty()) order_parent_first(st, refs);
-    st.append(holder, s.correct_input, refs, when);
+    st.append(holder, s.correct_input, st.stale_refs(when - params.delta), when);
     ++public_count;
     if (public_count >= params.k) finish(0, when);
   };
@@ -298,12 +308,11 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
           // The first withheld block references all current tips so every
           // public block is ordered before it; the rest chain linearly.
           const u64 need = params.k - public_count;
-          std::vector<usize> refs = st.true_tips();
-          if (!refs.empty()) order_parent_first(st, refs);
           usize prev = 0;
           for (u64 d = 0; d < need; ++d) {
-            const std::vector<usize> r = d == 0 ? refs : std::vector<usize>{prev};
-            prev = st.append(token.holder, byz_vote, r, token.time);
+            prev = st.append(token.holder, byz_vote,
+                             d == 0 ? st.true_refs() : std::span<const usize>(&prev, 1),
+                             token.time);
           }
           result.dumped = need;
           result.final_gap = token.time - last_correct;
@@ -313,9 +322,7 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
       } else if (params.adversary != DagAdversary::kWithholdOnly) {
         // Rate attack: protocol-following append voting the opposite value,
         // on the adversary's true (rushing) view.
-        std::vector<usize> refs = st.true_tips();
-        if (!refs.empty()) order_parent_first(st, refs);
-        st.append(token.holder, byz_vote, refs, token.time);
+        st.append(token.holder, byz_vote, st.true_refs(), token.time);
         ++public_count;
         ++byz_public;
       }

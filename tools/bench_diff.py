@@ -16,9 +16,14 @@ documents and reports per-metric ratios. A metric is:
 Byte columns make wire-volume regressions (a delta read quietly shipping
 the full view again) fail the diff exactly like a time regression would.
 
+"[B]" and "[records]" cells are *exact*: counts of a seeded or fixed
+workload, identical from run to run of one commit, so no runner noise can
+move them. Timing, "[KB]" (RSS) and rate cells are noisy.
+
 Exit status is nonzero iff any metric regressed by more than --threshold
-(default 1.5x) — unless --report-only, which always exits 0 (the CI
-perf-smoke job is informational; shared runners are too noisy to block on).
+(default 1.5x). --report-only makes the noisy metrics informational (the
+CI perf-smoke job; shared runners are too noisy to block on timings) but
+still exits nonzero when an exact cell regresses.
 
 Usage:
   tools/bench_diff.py --baseline BENCH_sim.json --current run.json [--threshold 1.5]
@@ -35,6 +40,8 @@ import sys
 from pathlib import Path
 
 METRIC_UNIT = re.compile(r"\[(ms|us|s|B|KB|records)\]")
+# Exact columns: gated even under --report-only.
+EXACT_UNIT = re.compile(r"\[(B|records)\]")
 # Throughput columns: metrics where HIGHER is better (ratio test inverts).
 RATE_UNIT = re.compile(r"/sec\b")
 # Derived ratio columns are neither labels nor metrics.
@@ -50,13 +57,15 @@ def parse_number(cell: str) -> float | None:
         return None
 
 
-def extract_metrics(doc: dict) -> tuple[Metrics, set[str]]:
+def extract_metrics(doc: dict) -> tuple[Metrics, set[str], set[str]]:
     """Flattens a collect_bench.py document into {metric key: value}.
 
-    Returns (metrics, rate_keys): keys in rate_keys are throughput
-    metrics where a *drop* is the regression."""
+    Returns (metrics, rate_keys, exact_keys): keys in rate_keys are
+    throughput metrics where a *drop* is the regression; keys in
+    exact_keys are exact cells ([B], [records])."""
     metrics: Metrics = {}
     rate_keys: set[str] = set()
+    exact_keys: set[str] = set()
     for name, sub in sorted(doc.get("experiments", {}).items()):
         # google-benchmark micro document.
         for bench in sub.get("benchmarks", []):
@@ -88,17 +97,22 @@ def extract_metrics(doc: dict) -> tuple[Metrics, set[str]]:
                     metrics[key] = value
                     if i in rate_cols:
                         rate_keys.add(key)
-    return metrics, rate_keys
+                    if EXACT_UNIT.search(headers[i]):
+                        exact_keys.add(key)
+    return metrics, rate_keys, exact_keys
 
 
 def compare(baseline: Metrics, current: Metrics, threshold: float,
-            rate_keys: set[str] | None = None) -> tuple[list[str], int]:
-    """Returns (report lines, regression count)."""
+            rate_keys: set[str] | None = None,
+            exact_keys: set[str] | None = None) -> tuple[list[str], int, int]:
+    """Returns (report lines, regression count, exact regression count)."""
     rate_keys = rate_keys or set()
+    exact_keys = exact_keys or set()
     lines = []
     lines.append(f"| metric | baseline | current | ratio | status |")
     lines.append(f"|---|---|---|---|---|")
     regressions = 0
+    exact_regressions = 0
     for key in sorted(set(baseline) & set(current)):
         base, cur = baseline[key], current[key]
         ratio = cur / base
@@ -108,6 +122,9 @@ def compare(baseline: Metrics, current: Metrics, threshold: float,
         if worse:
             status = "REGRESSION"
             regressions += 1
+            if key in exact_keys:
+                status = "REGRESSION (exact)"
+                exact_regressions += 1
         elif better:
             status = "improved"
         else:
@@ -119,13 +136,16 @@ def compare(baseline: Metrics, current: Metrics, threshold: float,
         lines.append(f"| {key} | {baseline[key]:.4g} | — | — | missing in current |")
     for key in only_cur:
         lines.append(f"| {key} | — | {current[key]:.4g} | — | new |")
-    return lines, regressions
+    return lines, regressions, exact_regressions
 
 
 def self_test() -> None:
     """The regression detector must fire on an injected synthetic slowdown
-    and stay quiet on identical runs (unit-tested via ctest)."""
-    def doc(ms: float) -> dict:
+    and stay quiet on identical runs; --report-only must still fail on an
+    exact regression (unit-tested via ctest). `exact` scales the exact
+    ([B], [records]) cells, by default together with the noisy ones."""
+    def doc(ms: float, exact: float | None = None) -> dict:
+        exact = ms if exact is None else exact
         return {
             "experiments": {
                 "bench_hotpath": {
@@ -150,7 +170,7 @@ def self_test() -> None:
                         "caption": "steady state",
                         "table": {
                             "headers": ["n", "history", "delta read [B]", "reduction"],
-                            "rows": [["4", "10000", f"{100.0 * ms}", "800.0"]],
+                            "rows": [["4", "10000", f"{100.0 * exact}", "800.0"]],
                         },
                     }],
                 },
@@ -162,7 +182,7 @@ def self_test() -> None:
                         "caption": "resident memory vs history",
                         "table": {
                             "headers": ["mode", "history", "live [records]", "rss [KB]"],
-                            "rows": [["summary", "1000", f"{40.0 * ms}", f"{2000.0 * ms}"]],
+                            "rows": [["summary", "1000", f"{40.0 * exact}", f"{2000.0 * ms}"]],
                         },
                     }],
                 },
@@ -180,7 +200,7 @@ def self_test() -> None:
             },
         }
 
-    base, base_rates = extract_metrics(doc(1.0))
+    base, base_rates, base_exact = extract_metrics(doc(1.0))
     assert len(base) == 6, f"expected 6 metrics, got {base}"
     assert "bench_hotpath :: growth :: n=8,history=1000 :: extend [ms]" in base, base
     assert "exp_e10_abd :: steady state :: n=4,history=10000 :: delta read [B]" in base, base
@@ -190,19 +210,25 @@ def self_test() -> None:
             "mode=summary,history=1000 :: live [records]") in base, base
     rate_key = "amm_swarm :: ladder :: writers=8,label=epoll :: appends/sec"
     assert base_rates == {rate_key}, base_rates
+    assert base_exact == {
+        "exp_e10_abd :: steady state :: n=4,history=10000 :: delta read [B]",
+        "cluster_mem_soak :: resident memory vs history :: "
+        "mode=summary,history=1000 :: live [records]"}, base_exact
 
-    _, same = compare(base, extract_metrics(doc(1.0))[0], threshold=1.5, rate_keys=base_rates)
-    assert same == 0, "identical runs must not report regressions"
+    def diff(current: dict) -> tuple[int, int]:
+        _, regressed, exact = compare(base, extract_metrics(current)[0], threshold=1.5,
+                                      rate_keys=base_rates, exact_keys=base_exact)
+        return regressed, exact
 
+    assert diff(doc(1.0)) == (0, 0), "identical runs must not report regressions"
     # ms-metrics (and memory) 10x worse AND the rate 10x lower: all must fire.
-    _, slower = compare(base, extract_metrics(doc(10.0))[0], threshold=1.5,
-                        rate_keys=base_rates)
-    assert slower == 6, f"injected 10x slowdown must regress all 6 metrics, got {slower}"
-
+    assert diff(doc(10.0)) == (6, 2), f"10x slowdown must regress all 6, got {diff(doc(10.0))}"
+    # Timings, RSS and the rate 10x worse, exact cells unchanged.
+    assert diff(doc(10.0, exact=1.0)) == (4, 0), diff(doc(10.0, exact=1.0))
+    # Only the exact cells 10x worse.
+    assert diff(doc(1.0, exact=10.0)) == (2, 2), diff(doc(1.0, exact=10.0))
     # 10x faster everywhere: the rate *rises* 10x — still zero regressions.
-    _, faster = compare(base, extract_metrics(doc(0.1))[0], threshold=1.5,
-                        rate_keys=base_rates)
-    assert faster == 0, "a speedup is not a regression"
+    assert diff(doc(0.1)) == (0, 0), "a speedup is not a regression"
 
     # End-to-end: the CLI contract is "nonzero exit on regression".
     import subprocess
@@ -210,13 +236,23 @@ def self_test() -> None:
     with tempfile.TemporaryDirectory(prefix="amm_bench_diff_") as tmp:
         base_p = Path(tmp) / "base.json"
         slow_p = Path(tmp) / "slow.json"
+        noisy_p = Path(tmp) / "noisy.json"
         base_p.write_text(json.dumps(doc(1.0)))
         slow_p.write_text(json.dumps(doc(10.0)))
-        argv = [sys.executable, __file__, "--baseline", str(base_p), "--current", str(slow_p)]
-        rc = subprocess.run(argv, stdout=subprocess.DEVNULL).returncode
-        assert rc != 0, "regression must exit nonzero"
-        rc = subprocess.run([*argv, "--report-only"], stdout=subprocess.DEVNULL).returncode
-        assert rc == 0, "--report-only must always exit 0"
+        noisy_p.write_text(json.dumps(doc(10.0, exact=1.0)))
+
+        def run(current: Path, *extra: str) -> int:
+            argv = [sys.executable, __file__, "--baseline", str(base_p),
+                    "--current", str(current), *extra]
+            return subprocess.run(argv, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL).returncode
+
+        assert run(slow_p) != 0, "regression must exit nonzero"
+        assert run(noisy_p) != 0, "a timing regression must exit nonzero"
+        assert run(noisy_p, "--report-only") == 0, \
+            "--report-only must not fail on timing/RSS/rate regressions"
+        assert run(slow_p, "--report-only") != 0, \
+            "--report-only must still fail on an exact [B]/[records] regression"
         rc = subprocess.run(
             [sys.executable, __file__, "--baseline", str(base_p), "--current", str(base_p)],
             stdout=subprocess.DEVNULL).returncode
@@ -231,7 +267,8 @@ def main() -> None:
     ap.add_argument("--threshold", type=float, default=1.5,
                     help="regression ratio; current > threshold*baseline fails (default 1.5)")
     ap.add_argument("--report-only", action="store_true",
-                    help="print the delta table but always exit 0 (CI perf-smoke)")
+                    help="fail only on exact [B]/[records] regressions; timings, RSS "
+                         "and rates are informational (CI perf-smoke)")
     ap.add_argument("--self-test", action="store_true",
                     help="verify the detector fires on an injected regression")
     args = ap.parse_args()
@@ -249,15 +286,17 @@ def main() -> None:
         bt = doc.get("build_type", "unknown")
         print(f"[bench_diff] {path}: sha={sha} build={bt}")
 
-    base_metrics, base_rates = extract_metrics(base_doc)
-    cur_metrics, cur_rates = extract_metrics(cur_doc)
-    lines, regressions = compare(base_metrics, cur_metrics, args.threshold,
-                                 rate_keys=base_rates | cur_rates)
+    base_metrics, base_rates, base_exact = extract_metrics(base_doc)
+    cur_metrics, cur_rates, cur_exact = extract_metrics(cur_doc)
+    lines, regressions, exact_regressions = compare(
+        base_metrics, cur_metrics, args.threshold, rate_keys=base_rates | cur_rates,
+        exact_keys=base_exact | cur_exact)
     print("\n".join(lines))
     if regressions:
         print(f"[bench_diff] {regressions} metric(s) regressed beyond "
-              f"{args.threshold:.2f}x", file=sys.stderr)
-        if not args.report_only:
+              f"{args.threshold:.2f}x, {exact_regressions} of them exact ([B]/[records])",
+              file=sys.stderr)
+        if exact_regressions or not args.report_only:
             sys.exit(1)
     else:
         print("[bench_diff] no regressions")
