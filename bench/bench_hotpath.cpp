@@ -1,7 +1,8 @@
 // Hot-path benchmark for the incremental append-memory machinery: graph
 // growth (extend vs from-scratch rebuild), append-time ordering (k-way
-// merge vs full sort vs incremental cursor) and the decision rules on the
-// final graph. Emits harness tables; `--json` output is aggregated into the
+// merge vs full sort vs incremental cursor), the decision rules on the
+// final graph and the heap allocations of one Monte-Carlo trial. Emits
+// harness tables; `--json` output is aggregated into the
 // pinned BENCH_sim.json baseline by tools/collect_bench.py and compared by
 // tools/bench_diff.py.
 //
@@ -10,7 +11,9 @@
 //   --rounds R        observation rounds per trial    (default 64)
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,6 +24,8 @@
 #include "exp/harness.hpp"
 #include "mp/abd.hpp"
 #include "mp/network.hpp"
+#include "protocols/chain_ba.hpp"
+#include "protocols/dag_ba.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -29,6 +34,10 @@ using namespace amm;
 
 /// Defeats dead-code elimination without google-benchmark.
 volatile u64 g_sink = 0;  // NOLINT(cppcoreguidelines-avoid-non-const-global-variables)
+
+/// Calls of the global operator new so far. Not atomic: this binary
+/// allocates on its main thread only (the harness pool stays idle).
+u64 g_allocs = 0;  // NOLINT(cppcoreguidelines-avoid-non-const-global-variables)
 
 double now_seconds() {
   return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
@@ -108,7 +117,72 @@ Spread time_spread(int reps, Setup&& setup, Fn&& fn) {
 
 int reps_for(u32 history) { return history <= 2000 ? 5 : history <= 20000 ? 3 : 1; }
 
+/// pb_montecarlo's six configurations (E9 at n=20, lambda=0.5, k=1001):
+/// the slotted chain against kRushExtend, the DAG against kRateAndWithhold
+/// on the fast path and with full ordering.
+struct TrialConfig {
+  const char* name;
+  u32 t;
+  int kind;  ///< 0 chain slotted, 1 DAG fast path, 2 DAG full ordering
+};
+constexpr TrialConfig kTrialConfigs[] = {
+    {"chain_t2", 2, 0}, {"dag_fast_t2", 2, 1}, {"dag_exact_t2", 2, 2},
+    {"chain_t6", 6, 0}, {"dag_fast_t6", 6, 1}, {"dag_exact_t6", 6, 2},
+};
+
+void run_trial(const TrialConfig& c, Rng rng) {
+  if (c.kind == 0) {
+    proto::ChainParams params;
+    params.scenario.n = 20;
+    params.scenario.t = c.t;
+    params.k = 1001;
+    params.lambda = 0.5;
+    params.adversary = proto::ChainAdversary::kRushExtend;
+    g_sink = g_sink + proto::run_chain_slotted(params, rng).total_appends;
+    return;
+  }
+  proto::DagParams params;
+  params.scenario.n = 20;
+  params.scenario.t = c.t;
+  params.k = 1001;
+  params.lambda = 0.5;
+  params.adversary = proto::DagAdversary::kRateAndWithhold;
+  params.full_ordering = c.kind == 2;
+  g_sink = g_sink + proto::run_dag_continuous(params, rng).outcome.total_appends;
+}
+
 }  // namespace
+
+// Counting replacements of the global allocation functions. Every form
+// but the aligned ones is replaced, so none of them pairs with a
+// sanitizer's own replacement. Once a new/delete pair is inlined, GCC
+// takes the free() for a mismatch; the two are matched by construction.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+namespace {
+void* counted_malloc(std::size_t size) noexcept {
+  ++g_allocs;
+  return std::malloc(size != 0 ? size : 1);
+}
+}  // namespace
+void* operator new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 int main(int argc, char** argv) {
   exp::Harness h(argc, argv, "Hot paths — incremental graph, ordering, decision rules", 1);
@@ -283,5 +357,25 @@ int main(int argc, char** argv) {
   h.emit(compact_mem,
          "Decided-prefix compaction: live record state vs total history "
          "(summary mode folds the stable prefix into the checkpoint):");
+
+  // --- Monte-Carlo trial heap allocations -------------------------------
+  // Calls of operator new per trial, mean over a fixed set of seeded
+  // trials: an exact count of a deterministic workload, so a runner that
+  // starts allocating per block again shows here on any machine.
+  constexpr u64 kAllocTrials = 32;
+  Table allocs({"config", "trials", "allocs [allocs]"});
+  for (const TrialConfig& c : kTrialConfigs) {
+    u64 total = 0;
+    for (u64 i = 0; i < kAllocTrials; ++i) {
+      const Rng rng = Rng::for_stream(h.seed, i);
+      const u64 before = g_allocs;
+      run_trial(c, rng);
+      total += g_allocs - before;
+    }
+    allocs.add_row({c.name, std::to_string(kAllocTrials),
+                    fmt(static_cast<double>(total) / static_cast<double>(kAllocTrials), 2)});
+  }
+  h.emit(allocs, "Monte-Carlo trial heap allocations (mean of " + std::to_string(kAllocTrials) +
+                     " seeded trials, pb_montecarlo configurations):");
   return 0;
 }

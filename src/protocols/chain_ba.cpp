@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <vector>
 
-#include "am/memory.hpp"
 #include "check/audit.hpp"
+#include "protocols/memory_mirror.hpp"
 #include "sched/poisson.hpp"
 
 namespace amm::proto {
@@ -25,36 +26,39 @@ struct Rec {
 
 /// Incremental chain state plus a lagging "stale frontier" that exposes the
 /// deepest blocks as of (now − Δ) — the view a synchronous correct node
-/// acts on in the continuous model.
+/// acts on in the continuous model. The records are the source of truth;
+/// the append memory is a mirror that only the audit hook catches up.
 class ChainState {
  public:
-  explicit ChainState(u32 node_count) : memory_(node_count) {}
-
-  am::AppendMemory& memory() { return memory_; }
+  explicit ChainState(u32 node_count) : mirror_(node_count) {}
 
   /// Invariant audit hook (no-op unless AMM_AUDIT): append-only growth and
-  /// prefix immutability of the backing memory, monotone observed views,
+  /// prefix immutability of the mirrored memory, monotone observed views,
   /// and structural invariants of a BlockGraph carried across checkpoints —
   /// which doubles as a continuous cross-check that incremental extension
   /// tracks the growing view. Zero cost in release builds.
   void audit() {
-    auditor_.check(memory_);
-    auditor_.check_view(memory_.read());
     if constexpr (check::kAuditEnabled) {
-      graph_.extend(memory_.read());
+      const am::AppendMemory& memory =
+          mirror_.catch_up(recs_.size(), [&](usize i, std::vector<am::MsgId>& refs) {
+            const Rec& r = recs_[i];
+            if (r.parent >= 0) refs.push_back(recs_[static_cast<usize>(r.parent)].id);
+            return MirroredBlock{r.id, r.vote, r.time};
+          });
+      auditor_.check(memory);
+      auditor_.check_view(memory.read());
+      graph_.extend(memory.read());
       check::check_graph(graph_);
     }
   }
 
   usize append(NodeId author, Vote vote, i32 parent, SimTime now) {
-    std::vector<am::MsgId> refs;
-    if (parent >= 0) refs.push_back(recs_[static_cast<usize>(parent)].id);
-    const am::MsgId id = memory_.append(author, vote, /*payload=*/0, std::move(refs), now);
-
+    const usize parent_idx = static_cast<usize>(parent);
     Rec rec;
-    rec.id = id;
+    rec.id = mirror_.assign(author, now, std::span(&parent_idx, parent >= 0 ? 1 : 0),
+                            recs_.size());
     rec.parent = parent;
-    rec.depth = parent >= 0 ? recs_[static_cast<usize>(parent)].depth + 1 : 1;
+    rec.depth = parent >= 0 ? recs_[parent_idx].depth + 1 : 1;
     rec.vote = vote;
     rec.byz = byz_author_;
     rec.time = now;
@@ -107,7 +111,7 @@ class ChainState {
   }
 
  private:
-  am::AppendMemory memory_;
+  MemoryMirror mirror_;
   check::MemoryAuditor auditor_;
   chain::BlockGraph graph_;  ///< audit-only; extended lazily at checkpoints
   std::vector<Rec> recs_;

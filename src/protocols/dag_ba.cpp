@@ -8,9 +8,9 @@
 #include <span>
 #include <vector>
 
-#include "am/memory.hpp"
 #include "chain/block_graph.hpp"
 #include "check/audit.hpp"
+#include "protocols/memory_mirror.hpp"
 #include "sched/poisson.hpp"
 
 namespace amm::proto {
@@ -23,36 +23,41 @@ namespace {
 /// rescanning the history on every append (that would make trials
 /// quadratic in the cut size k); an update costs O(refs + tips). The lists
 /// hold local indices in ascending append order, which parent_first's tie
-/// toward the oldest tip relies on.
+/// toward the oldest tip relies on. The records are the source of truth;
+/// the append memory is a mirror caught up only when read (memory()).
 class DagState {
  public:
-  explicit DagState(u32 node_count) : memory_(node_count) {}
+  explicit DagState(u32 node_count) : mirror_(node_count) {}
 
-  am::AppendMemory& memory() { return memory_; }
+  /// The append memory holding every block so far, caught up on demand:
+  /// only the exact-ordering decision and the audit hook read it.
+  am::AppendMemory& memory() {
+    return mirror_.catch_up(recs_.size(), [&](usize i, std::vector<am::MsgId>& refs) {
+      refs.reserve(recs_[i].ref_count);
+      for (const usize r : refs_of(i)) refs.push_back(recs_[r].id);
+      return MirroredBlock{recs_[i].id, recs_[i].vote, recs_[i].time};
+    });
+  }
 
   /// Invariant audit hook (no-op unless AMM_AUDIT): append-only growth and
-  /// prefix immutability of the backing memory, monotone observed views,
+  /// prefix immutability of the mirrored memory, monotone observed views,
   /// and both incremental tip frontiers against BlockGraph::tips() of the
   /// view they stand for. Zero cost in release builds.
   void audit() {
-    auditor_.check(memory_);
-    auditor_.check_view(memory_.read());
     if constexpr (check::kAuditEnabled) {
-      AMM_ASSERT(same_blocks(true_tips_, chain::BlockGraph(memory_.read()).tips()));
-      AMM_ASSERT(
-          same_blocks(stale_tips_, chain::BlockGraph(memory_.read_at(stale_horizon_)).tips()));
+      const am::AppendMemory& m = memory();
+      auditor_.check(m);
+      auditor_.check_view(m.read());
+      AMM_ASSERT(same_blocks(true_tips_, chain::BlockGraph(m.read()).tips()));
+      AMM_ASSERT(same_blocks(stale_tips_, chain::BlockGraph(m.read_at(stale_horizon_)).tips()));
     }
   }
 
   /// Appends a block referencing `refs` (local indices; refs[0] = parent).
   usize append(NodeId author, Vote vote, std::span<const usize> refs, SimTime now) {
-    std::vector<am::MsgId> ref_ids;
-    ref_ids.reserve(refs.size());
-    for (const usize r : refs) ref_ids.push_back(recs_[r].id);
-    const am::MsgId id = memory_.append(author, vote, /*payload=*/0, std::move(ref_ids), now);
-
     Rec rec;
-    rec.id = id;
+    rec.id = mirror_.assign(author, now, refs, recs_.size());
+    rec.vote = vote;
     rec.time = now;
     rec.depth = refs.empty() ? 1 : recs_[refs.front()].depth + 1;
     rec.ref_off = ref_pool_.size();
@@ -86,6 +91,7 @@ class DagState {
  private:
   struct Rec {
     am::MsgId id;
+    Vote vote = Vote::kPlus;
     SimTime time = 0.0;
     u32 depth = 1;
     usize ref_off = 0;  // this block's references in ref_pool_
@@ -132,7 +138,7 @@ class DagState {
     return mine == ids;
   }
 
-  am::AppendMemory memory_;
+  MemoryMirror mirror_;
   check::MemoryAuditor auditor_;
   std::vector<Rec> recs_;
   std::vector<usize> ref_pool_;  // every block's references, back to back

@@ -241,6 +241,7 @@ bool FileLog::open_active(bool create) {
     seg.path = config_.dir + "/" + segment_file_name(next_log_seq_);
     fd_ = ::open(seg.path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
     if (fd_ < 0) return fail("create " + seg.path);
+    dir_unsynced_ = true;
     segments_.push_back(std::move(seg));
     stats_.segments = segments_.size();
     return true;
@@ -254,8 +255,7 @@ bool FileLog::open_active(bool create) {
 bool FileLog::roll_segment() {
   // Closed segments must be durable before the log grows past them:
   // replay order would otherwise depend on which file the OS flushed.
-  if (::fdatasync(fd_) != 0) return fail("fdatasync " + segments_.back().path);
-  ++stats_.fsyncs;
+  if (!sync_active()) return false;
   ::close(fd_);
   fd_ = -1;
   appends_since_sync_ = 0;
@@ -275,8 +275,23 @@ bool FileLog::maybe_fsync() {
     case mp::FsyncPolicy::kAlways:
       break;
   }
+  return sync_active();
+}
+
+bool FileLog::sync_active() {
   if (::fdatasync(fd_) != 0) return fail("fdatasync " + segments_.back().path);
   ++stats_.fsyncs;
+  // Synced records are durable only once the segment's directory entry
+  // is: otherwise a power loss can drop the whole file. The directory is
+  // synced here, after the data, rather than when the segment is created:
+  // the data sync has by then committed the create, so this sync is
+  // cheap, while one right after the create costs a journal commit of its
+  // own.
+  if (dir_unsynced_) {
+    if (!sync_dir(config_.dir)) return fail("fsync " + config_.dir);
+    ++stats_.fsyncs;
+    dir_unsynced_ = false;
+  }
   return true;
 }
 
@@ -318,6 +333,7 @@ bool FileLog::write_snapshot(const mp::Snapshot& snap) {
   }
   if (!sync_dir(config_.dir)) return fail("fsync " + config_.dir);
   ++stats_.fsyncs;
+  dir_unsynced_ = false;
   if (!snapshot_file_.empty() && snapshot_file_ != final_path) {
     ::unlink(snapshot_file_.c_str());
   }

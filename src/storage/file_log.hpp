@@ -80,12 +80,17 @@ class FileLog final : public mp::Storage {
   bool open_active(bool create);
   bool roll_segment();
   bool maybe_fsync();
+  bool sync_active();
 
   FileLogConfig config_;
   int fd_ = -1;  ///< active segment, O_APPEND
   std::vector<Segment> segments_;
   u64 next_log_seq_ = 0;
   u32 appends_since_sync_ = 0;
+  /// The active segment's directory entry may not be durable yet: set at
+  /// open (a crash may have come before the sync) and by every segment
+  /// create, cleared by the next directory sync.
+  bool dir_unsynced_ = true;
   std::optional<mp::Snapshot> snapshot_;
   std::string snapshot_file_;
   std::unordered_map<u32, AuthorIndexEntry> author_index_;

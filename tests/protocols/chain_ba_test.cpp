@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 namespace amm::proto {
 namespace {
 
@@ -154,6 +158,159 @@ TEST(ChainSlotted, NonTerminationReportedWhenBudgetTiny) {
   const Outcome out = run_chain_slotted(params, Rng(1));
   EXPECT_FALSE(out.terminated);
   EXPECT_FALSE(out.agreement());
+}
+
+// Bit-identity golden grid for the three chain runners. The expected values
+// were recorded from a build that still appended every block to an
+// am::AppendMemory as it went, before the runners' own records became the
+// only thing written per append; any change to a block's id, parent, depth
+// or the order ties are broken in would move at least one of these figures.
+// `decisions` spells each correct node's decision: '+', '-' or '?'
+// (undecided). The last four rows are pb_montecarlo's chain configurations.
+enum class ChainRunner { kSlotted, kContinuous };
+
+struct ChainGolden {
+  ChainRunner runner;
+  u32 n, t, k;
+  double lambda;
+  ChainAdversary adversary;
+  chain::TieBreak tie_break;
+  bool adversarial_ties;
+  u64 seed;
+  // Pinned outcome.
+  bool terminated;
+  u64 total_appends, byz_in_decision_set, decision_set_size, rounds;
+  const char* decisions;
+};
+
+std::string spell(const std::vector<std::optional<Vote>>& decisions) {
+  std::string s;
+  for (const auto& d : decisions) s += !d ? '?' : *d == Vote::kPlus ? '+' : '-';
+  return s;
+}
+
+char spell(Vote v) { return v == Vote::kPlus ? '+' : '-'; }
+
+TEST(ChainBa, GoldenOutcomesAreBitIdentical) {
+  constexpr auto kSlotted = ChainRunner::kSlotted;
+  constexpr auto kContinuous = ChainRunner::kContinuous;
+  constexpr auto kHonest = ChainAdversary::kHonestOpposite;
+  constexpr auto kFork = ChainAdversary::kForkTieBreak;
+  constexpr auto kRush = ChainAdversary::kRushExtend;
+  constexpr auto kRand = chain::TieBreak::kRandomized;
+  constexpr auto kDet = chain::TieBreak::kDeterministicFirst;
+  const ChainGolden grid[] = {
+      {kSlotted, 9, 3, 21, 0.1, kHonest, kRand, false, 1, true, 30, 7, 21, 33, "++++++"},
+      {kSlotted, 9, 3, 21, 0.1, kHonest, kRand, false, 2, true, 28, 12, 21, 20, "------"},
+      {kSlotted, 9, 3, 21, 0.1, kHonest, kRand, true, 1, true, 30, 7, 21, 33, "++++++"},
+      {kSlotted, 9, 3, 21, 0.1, kHonest, kRand, true, 2, true, 28, 13, 21, 20, "------"},
+      {kSlotted, 9, 3, 21, 0.1, kHonest, kDet, false, 1, true, 30, 7, 21, 33, "++++++"},
+      {kSlotted, 9, 3, 21, 0.1, kHonest, kDet, false, 2, true, 28, 13, 21, 20, "------"},
+      {kSlotted, 9, 3, 21, 0.1, kHonest, kDet, true, 1, true, 30, 7, 21, 33, "++++++"},
+      {kSlotted, 9, 3, 21, 0.1, kHonest, kDet, true, 2, true, 28, 13, 21, 20, "------"},
+      {kSlotted, 9, 3, 21, 0.1, kFork, kRand, false, 1, true, 39, 6, 21, 40, "++++++"},
+      {kSlotted, 9, 3, 21, 0.1, kFork, kRand, false, 2, true, 38, 13, 21, 32, "------"},
+      {kSlotted, 9, 3, 21, 0.1, kFork, kRand, true, 1, true, 39, 8, 21, 40, "++++++"},
+      {kSlotted, 9, 3, 21, 0.1, kFork, kRand, true, 2, true, 38, 16, 21, 32, "------"},
+      {kSlotted, 9, 3, 21, 0.1, kFork, kDet, false, 1, true, 39, 4, 21, 40, "++++++"},
+      {kSlotted, 9, 3, 21, 0.1, kFork, kDet, false, 2, true, 38, 11, 21, 32, "------"},
+      {kSlotted, 9, 3, 21, 0.1, kFork, kDet, true, 1, true, 39, 8, 21, 40, "++++++"},
+      {kSlotted, 9, 3, 21, 0.1, kFork, kDet, true, 2, true, 38, 16, 21, 32, "------"},
+      {kSlotted, 9, 3, 21, 0.1, kRush, kRand, false, 1, true, 30, 7, 21, 33, "++++++"},
+      {kSlotted, 9, 3, 21, 0.1, kRush, kRand, false, 2, true, 28, 13, 21, 20, "------"},
+      {kSlotted, 9, 3, 21, 0.1, kRush, kRand, true, 1, true, 30, 7, 21, 33, "++++++"},
+      {kSlotted, 9, 3, 21, 0.1, kRush, kRand, true, 2, true, 28, 13, 21, 20, "------"},
+      {kSlotted, 9, 3, 21, 0.1, kRush, kDet, false, 1, true, 30, 7, 21, 33, "++++++"},
+      {kSlotted, 9, 3, 21, 0.1, kRush, kDet, false, 2, true, 28, 13, 21, 20, "------"},
+      {kSlotted, 9, 3, 21, 0.1, kRush, kDet, true, 1, true, 30, 7, 21, 33, "++++++"},
+      {kSlotted, 9, 3, 21, 0.1, kRush, kDet, true, 2, true, 28, 13, 21, 20, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kHonest, kRand, false, 1, true, 28, 9, 21, 28, "++++++"},
+      {kContinuous, 9, 3, 21, 0.1, kHonest, kRand, false, 2, true, 27, 12, 21, 27, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kHonest, kRand, true, 1, true, 28, 10, 21, 28, "++++++"},
+      {kContinuous, 9, 3, 21, 0.1, kHonest, kRand, true, 2, true, 27, 14, 21, 27, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kHonest, kDet, false, 1, true, 28, 10, 21, 28, "++++++"},
+      {kContinuous, 9, 3, 21, 0.1, kHonest, kDet, false, 2, true, 27, 14, 21, 27, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kHonest, kDet, true, 1, true, 28, 10, 21, 28, "++++++"},
+      {kContinuous, 9, 3, 21, 0.1, kHonest, kDet, true, 2, true, 27, 14, 21, 27, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kFork, kRand, false, 1, true, 34, 12, 21, 34, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kFork, kRand, false, 2, true, 35, 13, 21, 35, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kFork, kRand, true, 1, true, 34, 13, 21, 34, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kFork, kRand, true, 2, true, 35, 15, 21, 35, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kFork, kDet, false, 1, true, 34, 13, 21, 34, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kFork, kDet, false, 2, true, 35, 15, 21, 35, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kFork, kDet, true, 1, true, 34, 13, 21, 34, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kFork, kDet, true, 2, true, 35, 15, 21, 35, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kRush, kRand, false, 1, true, 28, 9, 21, 28, "++++++"},
+      {kContinuous, 9, 3, 21, 0.1, kRush, kRand, false, 2, true, 27, 13, 21, 27, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kRush, kRand, true, 1, true, 28, 10, 21, 28, "++++++"},
+      {kContinuous, 9, 3, 21, 0.1, kRush, kRand, true, 2, true, 27, 14, 21, 27, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kRush, kDet, false, 1, true, 28, 10, 21, 28, "++++++"},
+      {kContinuous, 9, 3, 21, 0.1, kRush, kDet, false, 2, true, 27, 14, 21, 27, "------"},
+      {kContinuous, 9, 3, 21, 0.1, kRush, kDet, true, 1, true, 28, 10, 21, 28, "++++++"},
+      {kContinuous, 9, 3, 21, 0.1, kRush, kDet, true, 2, true, 27, 14, 21, 27, "------"},
+      {kSlotted, 20, 2, 1001, 0.5, kRush, kRand, false, 1,
+       true, 5267, 511, 1001, 528, "------------------"},
+      {kSlotted, 20, 2, 1001, 0.5, kRush, kRand, false, 2,
+       true, 5205, 507, 1001, 524, "------------------"},
+      {kSlotted, 20, 6, 1001, 0.5, kRush, kRand, false, 1,
+       true, 2691, 795, 1001, 270, "--------------"},
+      {kSlotted, 20, 6, 1001, 0.5, kRush, kRand, false, 2,
+       true, 2601, 816, 1001, 267, "--------------"},
+  };
+  for (const ChainGolden& g : grid) {
+    ChainParams params = make(g.n, g.t, g.k, g.lambda, g.adversary, g.tie_break);
+    params.adversarial_ties = g.adversarial_ties;
+    const Outcome out = g.runner == kSlotted ? run_chain_slotted(params, Rng(g.seed))
+                                             : run_chain_continuous(params, Rng(g.seed));
+    SCOPED_TRACE(testing::Message()
+                 << "runner=" << static_cast<int>(g.runner) << " n=" << g.n << " t=" << g.t
+                 << " k=" << g.k << " adversary=" << static_cast<int>(g.adversary)
+                 << " tie=" << static_cast<int>(g.tie_break)
+                 << " adversarial_ties=" << g.adversarial_ties << " seed=" << g.seed);
+    EXPECT_EQ(out.terminated, g.terminated);
+    EXPECT_EQ(out.total_appends, g.total_appends);
+    EXPECT_EQ(out.byz_in_decision_set, g.byz_in_decision_set);
+    EXPECT_EQ(out.decision_set_size, g.decision_set_size);
+    EXPECT_EQ(out.rounds, g.rounds);
+    EXPECT_EQ(spell(out.decisions), g.decisions);
+  }
+
+  // run_chain_finality on a knife-edge split of inputs (no Byzantine
+  // nodes); `decisions` spells group A's, group B's and the final one.
+  struct FinalityGolden {
+    chain::TieBreak tie_break;
+    double staleness;
+    u64 seed;
+    bool terminated;
+    const char* decisions;
+    bool split, flipped;
+    u32 prefix_divergence;
+  };
+  const FinalityGolden finality[] = {
+      {kRand, 0.0, 1, true, "---", false, false, 0},
+      {kRand, 0.0, 2, true, "---", false, false, 0},
+      {kRand, 8.0, 1, true, "---", false, false, 6},
+      {kRand, 8.0, 2, true, "+--", true, true, 21},
+      {kDet, 0.0, 1, true, "---", false, false, 0},
+      {kDet, 0.0, 2, true, "---", false, false, 0},
+      {kDet, 8.0, 1, true, "---", false, false, 6},
+      {kDet, 8.0, 2, true, "+--", true, true, 21},
+  };
+  for (const FinalityGolden& g : finality) {
+    ChainParams params = make(8, 0, 21, 0.5, ChainAdversary::kHonestOpposite, g.tie_break);
+    params.scenario.inputs.resize(8);
+    for (u32 v = 0; v < 8; ++v) params.scenario.inputs[v] = v % 2 ? Vote::kMinus : Vote::kPlus;
+    const FinalityResult res = run_chain_finality(params, g.staleness, Rng(g.seed));
+    SCOPED_TRACE(testing::Message() << "tie=" << static_cast<int>(g.tie_break)
+                                    << " staleness=" << g.staleness << " seed=" << g.seed);
+    EXPECT_EQ(res.terminated, g.terminated);
+    const std::string decisions = {spell(res.decision_a), spell(res.decision_b),
+                                   spell(res.decision_final)};
+    EXPECT_EQ(decisions, g.decisions);
+    EXPECT_EQ(res.split, g.split);
+    EXPECT_EQ(res.flipped, g.flipped);
+    EXPECT_EQ(res.prefix_divergence, g.prefix_divergence);
+  }
 }
 
 }  // namespace

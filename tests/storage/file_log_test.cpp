@@ -306,6 +306,38 @@ TEST(FileLog, SegmentsRollAndPruneUnderSnapshot) {
   EXPECT_EQ(reopened.log_seq(), 10u);
 }
 
+TEST(FileLog, SegmentCreationSyncsTheStoreDirectory) {
+  // A segment's records are durable only once its directory entry is, so
+  // the first data sync after open and after each segment create also
+  // syncs the store directory, once.
+  TempDir tmp;
+  FileLogConfig config{.dir = tmp.path, .fsync = mp::FsyncPolicy::kAlways};
+  config.segment_bytes = 4 * kLogRecordFrameBytes;  // roll every 4 records
+  const auto recs = records(6);
+  {
+    FileLog store(config);  // a fresh store: creates its first segment
+    ASSERT_TRUE(store.ok()) << store.error();
+    EXPECT_EQ(store.stats().fsyncs, 0u);
+    ASSERT_TRUE(store.append(recs[0]));
+    EXPECT_EQ(store.stats().fsyncs, 2u);  // data + directory
+    for (usize i = 1; i < 4; ++i) ASSERT_TRUE(store.append(recs[i]));
+    EXPECT_EQ(store.stats().fsyncs, 5u);  // data only
+    // The roll syncs the closed segment's data; the record in the new
+    // segment then syncs data and, once, the directory.
+    ASSERT_TRUE(store.append(recs[4]));
+    EXPECT_EQ(store.stats().segments, 2u);
+    EXPECT_EQ(store.stats().fsyncs, 8u);
+    ASSERT_TRUE(store.append(recs[5]));
+    EXPECT_EQ(store.stats().fsyncs, 9u);
+  }
+  // A reopened store syncs the directory again at its first data sync: the
+  // previous run may have stopped before it did.
+  FileLog reopened(config);
+  ASSERT_TRUE(reopened.ok()) << reopened.error();
+  ASSERT_TRUE(reopened.append(make_record(1, 77, -5)));
+  EXPECT_EQ(reopened.stats().fsyncs, 2u);
+}
+
 TEST(FileLog, NewerSnapshotReplacesOlder) {
   TempDir tmp;
   FileLog store({.dir = tmp.path, .fsync = mp::FsyncPolicy::kNever});

@@ -6,9 +6,9 @@ documents and reports per-metric ratios. A metric is:
 
   * a cell in a harness table whose column header carries a unit marker
     ("[ms]", "[s]", "[us]", "[B]" for wire bytes, "[KB]"/"[records]" for
-    resident memory — all lower-is-better), keyed by (binary, table
-    caption, row label, column) — row label = the leading non-metric cells
-    (n, history, ...);
+    resident memory, "[allocs]" for heap allocations — all
+    lower-is-better), keyed by (binary, table caption, row label, column)
+    — row label = the leading non-metric cells (n, history, ...);
   * a cell in a rate column (header contains "/sec", e.g. amm_swarm's
     appends/sec) — higher is better, so the regression test inverts;
   * a google-benchmark entry's real_time, keyed by (binary, benchmark name).
@@ -16,9 +16,9 @@ documents and reports per-metric ratios. A metric is:
 Byte columns make wire-volume regressions (a delta read quietly shipping
 the full view again) fail the diff exactly like a time regression would.
 
-"[B]" and "[records]" cells are *exact*: counts of a seeded or fixed
-workload, identical from run to run of one commit, so no runner noise can
-move them. Timing, "[KB]" (RSS) and rate cells are noisy.
+"[B]", "[records]" and "[allocs]" cells are *exact*: counts of a seeded
+or fixed workload, identical from run to run of one commit, so no runner
+noise can move them. Timing, "[KB]" (RSS) and rate cells are noisy.
 
 Exit status is nonzero iff any metric regressed by more than --threshold
 (default 1.5x). --report-only makes the noisy metrics informational (the
@@ -39,9 +39,9 @@ import re
 import sys
 from pathlib import Path
 
-METRIC_UNIT = re.compile(r"\[(ms|us|s|B|KB|records)\]")
+METRIC_UNIT = re.compile(r"\[(ms|us|s|B|KB|records|allocs)\]")
 # Exact columns: gated even under --report-only.
-EXACT_UNIT = re.compile(r"\[(B|records)\]")
+EXACT_UNIT = re.compile(r"\[(B|records|allocs)\]")
 # Throughput columns: metrics where HIGHER is better (ratio test inverts).
 RATE_UNIT = re.compile(r"/sec\b")
 # Derived ratio columns are neither labels nor metrics.
@@ -62,7 +62,7 @@ def extract_metrics(doc: dict) -> tuple[Metrics, set[str], set[str]]:
 
     Returns (metrics, rate_keys, exact_keys): keys in rate_keys are
     throughput metrics where a *drop* is the regression; keys in
-    exact_keys are exact cells ([B], [records])."""
+    exact_keys are exact cells ([B], [records], [allocs])."""
     metrics: Metrics = {}
     rate_keys: set[str] = set()
     exact_keys: set[str] = set()
@@ -143,9 +143,11 @@ def self_test() -> None:
     """The regression detector must fire on an injected synthetic slowdown
     and stay quiet on identical runs; --report-only must still fail on an
     exact regression (unit-tested via ctest). `exact` scales the exact
-    ([B], [records]) cells, by default together with the noisy ones."""
-    def doc(ms: float, exact: float | None = None) -> dict:
+    ([B], [records]) cells, by default together with the noisy ones;
+    `allocs` scales the [allocs] cell, by default together with `exact`."""
+    def doc(ms: float, exact: float | None = None, allocs: float | None = None) -> dict:
         exact = ms if exact is None else exact
+        allocs = exact if allocs is None else allocs
         return {
             "experiments": {
                 "bench_hotpath": {
@@ -154,6 +156,14 @@ def self_test() -> None:
                         "table": {
                             "headers": ["n", "history", "extend [ms]", "speedup"],
                             "rows": [["8", "1000", f"{ms}", "10.0"]],
+                        },
+                    }, {
+                        # A heap-allocation table: a fractional mean of a
+                        # seeded trial set is still exact.
+                        "caption": "trial allocations",
+                        "table": {
+                            "headers": ["config", "trials", "allocs [allocs]"],
+                            "rows": [["chain_t2", "32", f"{96.25 * allocs}"]],
                         },
                     }],
                 },
@@ -201,7 +211,9 @@ def self_test() -> None:
         }
 
     base, base_rates, base_exact = extract_metrics(doc(1.0))
-    assert len(base) == 6, f"expected 6 metrics, got {base}"
+    assert len(base) == 7, f"expected 7 metrics, got {base}"
+    alloc_key = "bench_hotpath :: trial allocations :: config=chain_t2,trials=32 :: allocs [allocs]"
+    assert base[alloc_key] == 96.25, base
     assert "bench_hotpath :: growth :: n=8,history=1000 :: extend [ms]" in base, base
     assert "exp_e10_abd :: steady state :: n=4,history=10000 :: delta read [B]" in base, base
     assert ("cluster_mem_soak :: resident memory vs history :: "
@@ -213,7 +225,7 @@ def self_test() -> None:
     assert base_exact == {
         "exp_e10_abd :: steady state :: n=4,history=10000 :: delta read [B]",
         "cluster_mem_soak :: resident memory vs history :: "
-        "mode=summary,history=1000 :: live [records]"}, base_exact
+        "mode=summary,history=1000 :: live [records]", alloc_key}, base_exact
 
     def diff(current: dict) -> tuple[int, int]:
         _, regressed, exact = compare(base, extract_metrics(current)[0], threshold=1.5,
@@ -222,11 +234,15 @@ def self_test() -> None:
 
     assert diff(doc(1.0)) == (0, 0), "identical runs must not report regressions"
     # ms-metrics (and memory) 10x worse AND the rate 10x lower: all must fire.
-    assert diff(doc(10.0)) == (6, 2), f"10x slowdown must regress all 6, got {diff(doc(10.0))}"
+    assert diff(doc(10.0)) == (7, 3), f"10x slowdown must regress all 7, got {diff(doc(10.0))}"
     # Timings, RSS and the rate 10x worse, exact cells unchanged.
     assert diff(doc(10.0, exact=1.0)) == (4, 0), diff(doc(10.0, exact=1.0))
     # Only the exact cells 10x worse.
-    assert diff(doc(1.0, exact=10.0)) == (2, 2), diff(doc(1.0, exact=10.0))
+    assert diff(doc(1.0, exact=10.0)) == (3, 3), diff(doc(1.0, exact=10.0))
+    # Only the allocation count doubled.
+    assert diff(doc(1.0, exact=1.0, allocs=2.0)) == (1, 1), diff(doc(1.0, allocs=2.0))
+    # Fewer allocations is an improvement, not a regression.
+    assert diff(doc(1.0, exact=1.0, allocs=0.1)) == (0, 0), diff(doc(1.0, allocs=0.1))
     # 10x faster everywhere: the rate *rises* 10x — still zero regressions.
     assert diff(doc(0.1)) == (0, 0), "a speedup is not a regression"
 
@@ -237,9 +253,11 @@ def self_test() -> None:
         base_p = Path(tmp) / "base.json"
         slow_p = Path(tmp) / "slow.json"
         noisy_p = Path(tmp) / "noisy.json"
+        allocs_p = Path(tmp) / "allocs.json"
         base_p.write_text(json.dumps(doc(1.0)))
         slow_p.write_text(json.dumps(doc(10.0)))
         noisy_p.write_text(json.dumps(doc(10.0, exact=1.0)))
+        allocs_p.write_text(json.dumps(doc(1.0, exact=1.0, allocs=2.0)))
 
         def run(current: Path, *extra: str) -> int:
             argv = [sys.executable, __file__, "--baseline", str(base_p),
@@ -253,6 +271,8 @@ def self_test() -> None:
             "--report-only must not fail on timing/RSS/rate regressions"
         assert run(slow_p, "--report-only") != 0, \
             "--report-only must still fail on an exact [B]/[records] regression"
+        assert run(allocs_p, "--report-only") != 0, \
+            "--report-only must still fail on an [allocs] regression"
         rc = subprocess.run(
             [sys.executable, __file__, "--baseline", str(base_p), "--current", str(base_p)],
             stdout=subprocess.DEVNULL).returncode
@@ -267,7 +287,7 @@ def main() -> None:
     ap.add_argument("--threshold", type=float, default=1.5,
                     help="regression ratio; current > threshold*baseline fails (default 1.5)")
     ap.add_argument("--report-only", action="store_true",
-                    help="fail only on exact [B]/[records] regressions; timings, RSS "
+                    help="fail only on exact [B]/[records]/[allocs] regressions; timings, RSS "
                          "and rates are informational (CI perf-smoke)")
     ap.add_argument("--self-test", action="store_true",
                     help="verify the detector fires on an injected regression")
@@ -294,7 +314,7 @@ def main() -> None:
     print("\n".join(lines))
     if regressions:
         print(f"[bench_diff] {regressions} metric(s) regressed beyond "
-              f"{args.threshold:.2f}x, {exact_regressions} of them exact ([B]/[records])",
+              f"{args.threshold:.2f}x, {exact_regressions} of them exact ([B]/[records]/[allocs])",
               file=sys.stderr)
         if exact_regressions or not args.report_only:
             sys.exit(1)
