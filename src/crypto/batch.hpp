@@ -1,38 +1,34 @@
-// Batched signature verification across a transport drain cycle.
+// A span of signature checks resolved through one VerifyCache.
 //
-// The reactor admits frames from every ready session first and verifies
-// signatures second, so one cycle's worth of records is checked in a
-// single pass instead of one registry call interleaved per frame. The
-// batch goes through the VerifyCache — records already seen (broadcast
-// delivery, then every read reply that carries them) cost a set lookup —
-// and only the cache misses reach the KeyRegistry. With enough misses the
-// registry sweep fans out across a ThreadPool: KeyRegistry::verify is
-// const and pure, so workers verify concurrently while the cache itself
-// is only touched from the calling thread (lookup pre-pass, admit
-// post-pass). Failures are never cached, matching VerifyCache::verify —
-// forged signatures are re-rejected on every delivery.
+// The node path does not batch: TCP wire admission verifies each message
+// inline as its frame is read (net/peer.hpp). verify_batch remains for
+// callers that hold a prepared array of checks, such as perfbench's
+// pb_layers, which times one event-loop cycle's worth of first-seen
+// signatures. Each check goes through VerifyCache::verify, so a
+// duplicate triple costs one registry check and then hits, and a failure
+// is never cached.
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "crypto/signature.hpp"
-#include "support/thread_pool.hpp"
 
 namespace amm::crypto {
 
-/// One deferred signature check. `ok` is the verdict after verify_batch.
+/// One signature check. `ok` is the verdict after verify_batch.
 struct BatchCheck {
   u64 digest = 0;
   Signature sig;
   bool ok = false;
 };
 
-/// Verifies every check in `checks`, setting each `ok` in place.
-/// Duplicate (digest, signer, tag) triples are verified once. `pool` may
-/// be null (serial); with a pool, the registry sweep parallelizes only
-/// when at least `min_parallel` distinct misses remain after the cache
-/// pre-pass — below that the dispatch overhead exceeds the hashing.
-void verify_batch(VerifyCache& cache, std::span<BatchCheck> checks, ThreadPool* pool,
-                  usize min_parallel = 64);
+/// Verifies every check in `checks`, setting each `ok` in place. The
+/// trailing null argument has no effect: it lets perfbench's call
+/// `verify_batch(cache, checks, nullptr)` compile unchanged.
+inline void verify_batch(VerifyCache& cache, std::span<BatchCheck> checks,
+                         std::nullptr_t /*no_pool*/ = nullptr) {
+  for (BatchCheck& check : checks) check.ok = cache.verify(check.digest, check.sig);
+}
 
 }  // namespace amm::crypto

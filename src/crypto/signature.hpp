@@ -115,8 +115,9 @@ class DigestBuilder {
 /// protocol node additionally calls rotate() when it compacts its decided
 /// prefix: records folded into a checkpoint are never re-verified, so
 /// their verdicts are the first to age out (checkpoint-aware eviction).
-/// A node process has one cache: the TCP transport's wire batch borrows
-/// the node's, so rotate() ages the wire verdicts along with the node's.
+/// A node process has one cache: the TCP transport's wire admission
+/// borrows the node's, so rotate() ages the wire verdicts along with the
+/// node's.
 class VerifyCache {
  public:
   /// `capacity` bounds hot+cold key count; 0 means unbounded (no rotation
@@ -125,36 +126,15 @@ class VerifyCache {
       : registry_(&registry), capacity_(capacity) {}
 
   /// Same contract as KeyRegistry::verify, plus memoization of successes.
+  /// A hit is a triple that verified before; every miss costs exactly one
+  /// registry check.
   bool verify(u64 digest, const Signature& sig) {
-    if (lookup(digest, sig)) return true;
+    const u64 key = cache_key(digest, sig);
+    if (lookup(key)) return true;
     if (!registry_->verify(digest, sig)) return false;
-    admit(digest, sig);
+    insert_hot(key);
     return true;
   }
-
-  /// Cache-only probe: true (counted as a hit) iff this exact (digest,
-  /// signer, tag) triple verified successfully before. Never consults the
-  /// registry — the pre-pass of crypto::verify_batch, which defers the
-  /// registry work for all misses into one (optionally parallel) sweep.
-  bool lookup(u64 digest, const Signature& sig) {
-    const u64 key = cache_key(digest, sig);
-    if (hot_.contains(key)) {
-      ++hits_;
-      return true;
-    }
-    if (cold_.erase(key) > 0) {
-      insert_hot(key);  // promotion: recently useful entries survive rotation
-      ++hits_;
-      return true;
-    }
-    ++misses_;
-    return false;
-  }
-
-  /// Records a successful registry verification (verify_batch's post-pass;
-  /// callers must have actually verified — admitting a forgery would cache
-  /// it). Not thread-safe: call from the owning thread only.
-  void admit(u64 digest, const Signature& sig) { insert_hot(cache_key(digest, sig)); }
 
   /// Ages both generations one step: cold is dropped (counted as
   /// evictions), hot becomes cold. Called by the owner after compacting
@@ -165,11 +145,6 @@ class VerifyCache {
     cold_ = std::move(hot_);
     hot_.clear();
   }
-
-  /// The registry behind the cache. KeyRegistry::verify is const and pure
-  /// (siphash over immutable keys), so batch verification may call it from
-  /// worker threads while the cache itself stays single-threaded.
-  const KeyRegistry& registry() const { return *registry_; }
 
   u64 hits() const { return hits_; }
   u64 misses() const { return misses_; }
@@ -186,6 +161,23 @@ class VerifyCache {
         .add(static_cast<u64>(sig.signer.index))
         .add(sig.tag)
         .finish();
+  }
+
+  /// Cache-only probe: true (counted as a hit) iff this key's triple
+  /// verified successfully before; otherwise counted as a miss. A cold hit
+  /// is promoted back to hot.
+  bool lookup(u64 key) {
+    if (hot_.contains(key)) {
+      ++hits_;
+      return true;
+    }
+    if (cold_.erase(key) > 0) {
+      insert_hot(key);  // promotion: recently useful entries survive rotation
+      ++hits_;
+      return true;
+    }
+    ++misses_;
+    return false;
   }
 
   void insert_hot(u64 key) {

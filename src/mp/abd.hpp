@@ -85,7 +85,7 @@ struct AbdConfig {
   /// Max appends in flight; further begin_append calls queue in order.
   u32 max_pipeline = 32;
   /// Decided-prefix compaction (off by default: memory is unbounded).
-  CompactConfig compact;
+  CompactConfig compact{};
   /// Key capacity of the node's VerifyCache, the one cache the hosting
   /// transport's wire admission shares (0 = unbounded).
   usize verify_cache_cap = crypto::VerifyCache::kDefaultCapacity;

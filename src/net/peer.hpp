@@ -15,16 +15,14 @@
 // and tracks the partially written frame so frames stay atomic on the
 // wire no matter where a short write lands.
 //
-// Lemma 4.1 at the wire has one path, in three steps. The transport
-// *collects*: collect_signature_checks() runs the structural half of
-// admission as each frame is read and queues the signature checks the
-// message still owes. It *batches*: one crypto::verify_batch per drain
-// cycle resolves every queued check against the hosted node's
-// VerifyCache. It *applies*: apply_verify_verdicts() drops or filters
-// each message by its verdicts before dispatch. AbdNode re-checks every
-// record on its own layer; since it owns that same cache, the re-check of
-// a wire-admitted signature is a hit. The wire check exists so a
-// compromised peer cannot even spend handler CPU.
+// Lemma 4.1 at the wire is one function, admit_wire_message(), called
+// as each kMsg frame is read: the structural rules (who may sign what)
+// and the signature checks run in one pass against the hosted node's
+// VerifyCache, and the message is dropped or filtered before it is
+// queued for dispatch. AbdNode re-checks every record on its own layer;
+// since it owns that same cache, the re-check of a wire-admitted
+// signature is a hit. The wire check exists so a compromised peer cannot
+// even spend handler CPU.
 #pragma once
 
 #include <deque>
@@ -32,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "crypto/batch.hpp"
 #include "crypto/signature.hpp"
 #include "net/codec.hpp"
 
@@ -151,29 +148,19 @@ Hello make_hello(NodeId self, u64 nonce, const crypto::KeyRegistry& keys);
 /// and the claimed node id must be inside the cluster.
 bool verify_hello(const Hello& hello, u32 node_count, const crypto::KeyRegistry& keys);
 
-/// Step one of Lemma 4.1 admission at the wire. Performs the
-/// *structural* half immediately — kAppend: signer == author; kAck:
-/// signer == the session's authenticated peer (an acker cannot vote in
-/// someone else's name); kCheckpointReply: signer == the session's peer (a
-/// responder vouches for its own checkpoint; the quorum cross-check
-/// happens at the protocol layer); kReadReply: structurally invalid
-/// records are removed from msg.view in place (`*filtered` counts them) —
-/// and appends the signature checks still owed to `checks`. kReadReq and
-/// kCheckpointReq carry no signature (a lying frontier can only change
-/// *which* records come back, and the reader's merge re-verifies all of
-/// them). Returns kReject when the message is structurally inadmissible
-/// (caller drops it without queueing any checks); kDeliver means
-/// "admissible iff its checks verify".
-Admission collect_signature_checks(mp::WireMessage& msg, NodeId from,
-                                   std::vector<crypto::BatchCheck>& checks, u64* filtered);
-
-/// Applies the verdicts verify_batch wrote into checks[first..first+count)
-/// for a message previously admitted by collect_signature_checks (the
-/// same msg, unmodified in between). kAppend/kAck: one failed check
-/// rejects the message. kReadReply: records whose check failed are
-/// removed from msg.view in place (`*filtered` counts them); the reply is
-/// still delivered. kReadReq: no checks, always delivered.
-Admission apply_verify_verdicts(mp::WireMessage& msg,
-                                std::span<const crypto::BatchCheck> checks, u64* filtered);
+/// Lemma 4.1 admission of one decoded message at the wire, received on
+/// a session authenticated as `from`. Structural rules first — kAppend:
+/// signer == author; kAck: signer == `from` (an acker cannot vote in
+/// someone else's name); kCheckpointReply: signer == `from` (a responder
+/// vouches for its own checkpoint; the quorum cross-check happens at the
+/// protocol layer) — then the signature through `cache`. One failure
+/// rejects the message. kReadReply is always delivered, but every record
+/// whose signer is not its author or whose signature fails is removed
+/// from msg.view in place, order kept (`*filtered` counts them). kReadReq
+/// and kCheckpointReq carry no signature (a lying frontier can only
+/// change *which* records come back, and the reader's merge re-verifies
+/// all of them).
+Admission admit_wire_message(mp::WireMessage& msg, NodeId from, crypto::VerifyCache& cache,
+                             u64* filtered);
 
 }  // namespace amm::net

@@ -320,9 +320,9 @@ bool TcpTransport::read_session(Session& session) {
 bool TcpTransport::drain_frames(Session& session) {
   // Frames are parsed in place (FrameView borrows the payload bytes) and
   // the consumed prefix is erased once at the end — one memmove per drain
-  // instead of one per frame. Handlers copy what they keep: decode_* and
-  // collect_signature_checks materialize owning structures, so no borrowed
-  // span outlives this loop.
+  // instead of one per frame. Handlers copy what they keep: decode_*
+  // materializes owning structures, so no borrowed span outlives this
+  // loop.
   usize consumed_total = 0;
   bool keep = true;
   for (;;) {
@@ -367,16 +367,14 @@ bool TcpTransport::handle_frame(Session& session, const FrameView& frame) {
       if (session.state != SessionState::kProtocol || session.outbound) return false;
       auto msg = decode_message(frame.payload);
       if (!msg) return false;  // corrupt payload: drop the connection
-      // Lemma 4.1 on the wire, split for batching: structural admission
-      // now, signature verdicts with the cycle's crypto batch.
-      const usize first = checks_.size();
-      if (collect_signature_checks(*msg, session.peer, checks_, &sig_rejects_) ==
+      // Lemma 4.1 on the wire: structure and signatures, before queueing.
+      AMM_EXPECTS(verifier_ != nullptr);  // set_verify_cache before traffic
+      if (admit_wire_message(*msg, session.peer, *verifier_, &sig_rejects_) ==
           Admission::kReject) {
         ++sig_rejects_;
         return true;  // reject the message, keep the session
       }
-      pending_msgs_.push_back(
-          PendingMessage{session.peer, std::move(*msg), first, checks_.size() - first});
+      pending_msgs_.push_back(PendingMessage{session.peer, std::move(*msg)});
       return true;
     }
     case FrameKind::kCtlReq: {
@@ -393,13 +391,7 @@ bool TcpTransport::handle_frame(Session& session, const FrameView& frame) {
   return false;
 }
 
-void TcpTransport::verify_and_dispatch() {
-  if (pending_msgs_.empty()) {
-    checks_.clear();
-    return;
-  }
-  AMM_EXPECTS(verifier_ != nullptr);  // set_verify_cache before traffic
-  crypto::verify_batch(*verifier_, checks_, verify_pool_);
+void TcpTransport::dispatch_admitted() {
   // Deterministic dispatch: by author, stable — per-session FIFO (the one
   // order TCP guarantees) is preserved, and the sequence no longer depends
   // on which backend fired or in what order fds became ready.
@@ -407,17 +399,10 @@ void TcpTransport::verify_and_dispatch() {
                    [](const PendingMessage& a, const PendingMessage& b) {
                      return a.from.index < b.from.index;
                    });
-  for (PendingMessage& pending : pending_msgs_) {
-    const std::span<const crypto::BatchCheck> verdicts{checks_.data() + pending.first,
-                                                       pending.count};
-    if (apply_verify_verdicts(pending.msg, verdicts, &sig_rejects_) == Admission::kReject) {
-      ++sig_rejects_;
-      continue;
-    }
+  for (const PendingMessage& pending : pending_msgs_) {
     if (handler_) handler_(pending.from, pending.msg);
   }
   pending_msgs_.clear();
-  checks_.clear();
 }
 
 void TcpTransport::send_ctl_reply(u64 session_id, const CtlReply& reply) {
@@ -579,8 +564,8 @@ void TcpTransport::poll_once(std::chrono::milliseconds max_wait) {
     }
   }
 
-  // One crypto batch for everything admitted this cycle, then dispatch.
-  verify_and_dispatch();
+  // Everything admitted this cycle, in author order.
+  dispatch_admitted();
 
   // Handlers may have produced traffic — flush opportunistically so a
   // request/reply exchange completes in one poll round-trip per hop.

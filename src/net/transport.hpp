@@ -4,11 +4,8 @@
 // timers, protocol handler callbacks and control-plane callbacks run on
 // the thread that calls poll_once()/run_for(); send()/broadcast() must be
 // called from that same thread (protocol code only ever runs inside
-// handlers, so this falls out naturally). No locks, no cross-thread state.
-// The one optional excursion is batched signature verification: when a
-// verify pool is attached, cache-missed signatures fan out across it
-// between the wait and the dispatch — KeyRegistry::verify is const and
-// pure, and the pool is joined before any handler runs.
+// handlers, so this falls out naturally). No locks, no cross-thread state,
+// no worker threads.
 //
 // Readiness: the reactor registers every fd with an EventLoop
 // (net/event_loop.hpp) — epoll on Linux, a persistent poll set elsewhere —
@@ -20,13 +17,14 @@
 // batch of small frames — with POLLOUT interest maintained only while
 // bytes remain.
 //
-// Message dispatch is deterministic per author: frames admitted in one
-// drain cycle defer their signature checks into a single crypto batch,
-// run against the hosted node's VerifyCache (borrowed, not owned), then
-// dispatch sorted by author id (stable, so per-session FIFO order — the
-// only order TCP guarantees — is preserved). The delivered message
-// sequence therefore does not depend on which readiness backend fired or
-// in what order fds became ready.
+// Message dispatch is deterministic per author: each kMsg frame passes
+// Lemma 4.1 wire admission (net/peer.hpp) as it is read, its signatures
+// checked inline against the hosted node's VerifyCache (borrowed, not
+// owned); the admitted messages of one drain cycle then dispatch sorted
+// by author id (stable, so per-session FIFO order — the only order TCP
+// guarantees — is preserved). The delivered message sequence therefore
+// does not depend on which readiness backend fired or in what order fds
+// became ready.
 //
 // Backpressure: each session carries a byte budget with high/low
 // watermarks. A peer that stops reading pushes the session over the high
@@ -66,7 +64,6 @@
 #include "net/event_loop.hpp"
 #include "net/peer.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace amm::net {
 
@@ -114,9 +111,9 @@ class TcpTransport final : public mp::Transport {
   void connect_peers();
 
   /// Runs one reactor iteration: waits up to `max_wait` for socket events
-  /// or the next reconnect deadline, then performs all due I/O, batch-
-  /// verifies and delivers all admitted messages, and flushes sessions
-  /// with queued output.
+  /// or the next reconnect deadline, then performs all due I/O, delivers
+  /// every message admitted during it, and flushes sessions with queued
+  /// output.
   void poll_once(std::chrono::milliseconds max_wait);
 
   /// Pumps the reactor until `deadline` elapses.
@@ -132,17 +129,11 @@ class TcpTransport final : public mp::Transport {
   /// references.
   void kick_outbound();
 
-  /// Optional worker pool for the batched signature sweep. The pool must
-  /// outlive the transport (or be detached with nullptr first); it is
-  /// only used between wait and dispatch, never concurrently with
-  /// handlers.
-  void set_verify_pool(ThreadPool* pool) { verify_pool_ = pool; }
-
-  /// The verify cache the batched signature sweep runs against: the
+  /// The verify cache wire admission checks signatures against: the
   /// hosted node's own (AbdNode::verify_cache()), so a signature admitted
   /// here is a hit when the node re-checks it. Required before the first
   /// protocol message arrives; it must stay alive while the transport
-  /// polls, and is only touched between wait and dispatch.
+  /// polls.
   void set_verify_cache(crypto::VerifyCache* cache) { verifier_ = cache; }
 
   // mp::Transport
@@ -189,13 +180,10 @@ class TcpTransport final : public mp::Transport {
     std::deque<FrameBuf> pending;      ///< encoded frames awaiting a link
   };
 
-  /// One admitted kMsg whose signature verdicts are still in the cycle
-  /// batch: checks_[first, first+count) belong to it.
+  /// One admitted kMsg awaiting this cycle's dispatch.
   struct PendingMessage {
     NodeId from;
     mp::WireMessage msg;
-    usize first = 0;
-    usize count = 0;
   };
 
   void dial(u32 peer_index);
@@ -207,7 +195,7 @@ class TcpTransport final : public mp::Transport {
   bool read_session(Session& session);     ///< false = session died
   bool drain_frames(Session& session);     ///< false = corrupt, drop it
   bool handle_frame(Session& session, const FrameView& frame);
-  void verify_and_dispatch();              ///< batch-verify, sort, deliver
+  void dispatch_admitted();                ///< sort by author, deliver
   void flush_and_sync(Session& session);   ///< writev drain + interest upkeep
   void flush_dirty();
   void mark_dirty(Session& session);
@@ -222,7 +210,6 @@ class TcpTransport final : public mp::Transport {
   Rng rng_;
   Handler handler_;
   CtlHandler ctl_handler_;
-  ThreadPool* verify_pool_ = nullptr;
   crypto::VerifyCache* verifier_ = nullptr;  ///< the hosted node's cache
 
   std::unique_ptr<EventLoop> loop_;
@@ -242,7 +229,6 @@ class TcpTransport final : public mp::Transport {
   // Per-cycle scratch, cleared each poll_once (members to reuse capacity).
   std::vector<ReadyEvent> events_;
   std::vector<u64> dirty_;  ///< tokens of sessions with queued output
-  std::vector<crypto::BatchCheck> checks_;
   std::vector<PendingMessage> pending_msgs_;
 
   u64 messages_sent_ = 0;

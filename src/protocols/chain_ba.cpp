@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "check/audit.hpp"
@@ -254,20 +255,24 @@ Outcome not_terminated(const ChainParams& params, const ChainState& st) {
 /// the permissionless mode.
 class TokenSource {
  public:
-  TokenSource(u32 n, double lambda, SimTime delta, const std::vector<double>& weights, Rng rng) {
-    if (weights.empty()) {
-      equal_.emplace(n, lambda, delta, rng);
-    } else {
-      AMM_EXPECTS(weights.size() == n);
-      weighted_.emplace(weights, lambda * static_cast<double>(n), delta, rng);
-    }
+  TokenSource(u32 n, double lambda, SimTime delta, const std::vector<double>& weights, Rng rng)
+      : source_(make_source(n, lambda, delta, weights, rng)) {}
+
+  sched::Token next() {
+    return std::visit([](auto& source) { return source.next(); }, source_);
   }
 
-  sched::Token next() { return equal_ ? equal_->next() : weighted_->next(); }
-
  private:
-  std::optional<sched::TokenAuthority> equal_;
-  std::optional<sched::WeightedTokenAuthority> weighted_;
+  using Source = std::variant<sched::TokenAuthority, sched::WeightedTokenAuthority>;
+
+  static Source make_source(u32 n, double lambda, SimTime delta,
+                            const std::vector<double>& weights, Rng rng) {
+    if (weights.empty()) return sched::TokenAuthority(n, lambda, delta, rng);
+    AMM_EXPECTS(weights.size() == n);
+    return sched::WeightedTokenAuthority(weights, lambda * static_cast<double>(n), delta, rng);
+  }
+
+  Source source_;
 };
 
 }  // namespace

@@ -236,30 +236,24 @@ TEST(AbdEquivalence, CompactionDecisionsExactAtAndPastTheCut) {
     for (const auto& node : world.nodes) {
       const Checkpoint& ckpt = node->checkpoint();
       if (ckpt.folded_records == 0) continue;
-      const std::vector<SignedAppend> view = node->local_view();
-      std::vector<SignedAppend> suffix;
-      for (const SignedAppend& rec : view) {
-        if (rec.seq >= ckpt.folded_below) suffix.push_back(rec);
-      }
       // Fold the partial sums by hand: sort the full view canonically and
-      // compare sign sums at every k >= folded_records.
-      std::vector<SignedAppend> sorted = view;
+      // compare sign sums at every k >= folded_records. The live suffix,
+      // filtered from the sorted view, is in canonical order too.
+      std::vector<SignedAppend> sorted = node->local_view();
       std::sort(sorted.begin(), sorted.end(), [](const SignedAppend& a, const SignedAppend& b) {
         if (a.seq != b.seq) return a.seq < b.seq;
         return a.author.index < b.author.index;
       });
+      std::vector<SignedAppend> suffix;
+      for (const SignedAppend& rec : sorted) {
+        if (rec.seq >= ckpt.folded_below) suffix.push_back(rec);
+      }
       for (u64 k = ckpt.folded_records; k <= sorted.size(); ++k) {
         i64 direct = 0;
         for (u64 i = 0; i < k; ++i) direct += sorted[i].value >= 0 ? 1 : -1;
         i64 via_ckpt = ckpt.vote_sum;
-        std::vector<SignedAppend> sorted_suffix = suffix;
-        std::sort(sorted_suffix.begin(), sorted_suffix.end(),
-                  [](const SignedAppend& a, const SignedAppend& b) {
-                    if (a.seq != b.seq) return a.seq < b.seq;
-                    return a.author.index < b.author.index;
-                  });
         for (u64 i = 0; i < k - ckpt.folded_records; ++i) {
-          via_ckpt += sorted_suffix[i].value >= 0 ? 1 : -1;
+          via_ckpt += suffix[i].value >= 0 ? 1 : -1;
         }
         EXPECT_EQ(direct, via_ckpt) << "seed=" << seed << " k=" << k;
       }

@@ -155,7 +155,7 @@ TEST(Options, NodeOptionsDeclareTheWholeVocabularyOnce) {
   tools::add_node_options(opts, &cfg);
   EXPECT_EQ(parse(opts, {"--n", "7", "--id=3", "--backend", "epoll", "--compact", "summary",
                          "--store-dir", "/tmp/store0", "--fsync=always",
-                         "--snapshot-interval", "256", "--segment-bytes", "1048576"}),
+                         "--snapshot-interval", "256", "--verify-threads", "0"}),
             ParseStatus::kOk);
   EXPECT_EQ(cfg.n, 7u);
   EXPECT_EQ(cfg.id, 3u);
@@ -164,14 +164,21 @@ TEST(Options, NodeOptionsDeclareTheWholeVocabularyOnce) {
   EXPECT_EQ(cfg.store_dir, "/tmp/store0");
   EXPECT_EQ(cfg.fsync, "always");
   EXPECT_EQ(cfg.snapshot_interval, 256u);
-  EXPECT_EQ(cfg.segment_bytes, 1048576u);
+  EXPECT_EQ(cfg.verify_threads, "0");
   // Untouched options keep their defaults.
   EXPECT_EQ(cfg.seed, 20200715u);
   EXPECT_EQ(cfg.base_port, 9500u);
-  EXPECT_EQ(cfg.fsync_interval, 64u);
 
   // A misspelled flag is an error, never ignored.
   EXPECT_EQ(parse(opts, {"--storedir", "/tmp/x"}), ParseStatus::kError);
+  // Flags and values without a consumer are not part of the vocabulary:
+  // signatures verify inline (no pool), and `retain` is not a node mode.
+  EXPECT_EQ(parse(opts, {"--verify-threads", "2"}), ParseStatus::kError);
+  EXPECT_EQ(parse(opts, {"--compact", "retain"}), ParseStatus::kError);
+  for (const char* removed : {"--high-watermark", "--low-watermark", "--verify-cache-cap",
+                              "--fsync-interval", "--segment-bytes"}) {
+    EXPECT_EQ(parse(opts, {removed, "1"}), ParseStatus::kError) << removed;
+  }
 }
 
 }  // namespace

@@ -4,12 +4,10 @@
 // Algorithm 6) served over the control plane.
 //
 //   amm_node --id I --n N [--seed S] [--host 127.0.0.1] [--base-port 9500]
-//            [--backend auto|poll|epoll] [--verify-threads T]
-//            [--high-watermark BYTES] [--low-watermark BYTES]
-//            [--compact off|retain|summary] [--compact-lag L]
-//            [--verify-cache-cap KEYS]
+//            [--backend auto|poll|epoll] [--verify-threads 0]
+//            [--compact off|summary] [--compact-lag L]
 //            [--store-dir D] [--fsync never|interval|always]
-//            [--fsync-interval A] [--snapshot-interval A] [--segment-bytes B]
+//            [--snapshot-interval A]
 //
 // (Full option reference: amm_node --help; tools/cli.hpp declares the
 // vocabulary once and support/options.hpp generates parsing, validation
@@ -24,12 +22,15 @@
 // uses. Restart wire cost is O(missed records), not O(history).
 //
 // --compact selects the decided-prefix compaction mode (DESIGN.md §8):
-// `off` is the unbounded pre-compaction node, `retain` folds the stable
-// prefix into a checkpoint but keeps record bodies (cross-checkable, no
-// memory win), `summary` also erases folded bodies so resident memory
-// tracks the live suffix instead of total history. A summary node opens
-// with a checkpoint sync: it adopts the decided prefix its peers agree on
-// by quorum, then delta-reads only the live suffix.
+// `off` is the unbounded pre-compaction node; `summary` folds the stable
+// prefix into a checkpoint and erases the folded bodies, so resident
+// memory tracks the live suffix instead of total history. A summary node
+// opens with a checkpoint sync: it adopts the decided prefix its peers
+// agree on by quorum, then delta-reads only the live suffix.
+//
+// Signatures are verified inline on the reactor thread as frames are read
+// (net/peer.hpp); --verify-threads accepts only 0 and exists because
+// perfbench/run.py passes it.
 //
 // Node i listens on base-port+i and dials every other node. All nodes of a
 // cluster must share --n and --seed: the KeyRegistry is derived from them,
@@ -55,7 +56,6 @@
 #include "net/decision.hpp"
 #include "net/transport.hpp"
 #include "storage/file_log.hpp"
-#include "support/thread_pool.hpp"
 #include "tools/cli.hpp"
 
 namespace {
@@ -91,11 +91,7 @@ int main(int argc, char** argv) {
     // for --help, so help and behavior cannot drift apart.
     const mp::AbdConfig abd_defaults;
     cli.compact_lag = abd_defaults.compact.lag;
-    cli.verify_cache_cap = abd_defaults.verify_cache_cap;
     cli.snapshot_interval = abd_defaults.snapshot_interval;
-    const net::TransportConfig transport_defaults;
-    cli.high_watermark = transport_defaults.outbound_high_watermark;
-    cli.low_watermark = transport_defaults.outbound_low_watermark;
   }
   OptionSet opts("amm_node", "one append-memory node (ABD quorum protocol over TCP)");
   tools::add_node_options(opts, &cli);
@@ -112,10 +108,9 @@ int main(int argc, char** argv) {
   }
 
   mp::AbdConfig abd_config;
-  abd_config.compact.enabled = compact_mode != "off";
-  abd_config.compact.retain_records = compact_mode != "summary";
+  abd_config.compact.enabled = compact_mode == "summary";
+  abd_config.compact.retain_records = false;  // a node folds only in summary mode
   abd_config.compact.lag = cli.compact_lag;
-  abd_config.verify_cache_cap = static_cast<usize>(cli.verify_cache_cap);
   abd_config.snapshot_interval = cli.snapshot_interval;
 
   std::unique_ptr<storage::FileLog> store;
@@ -123,8 +118,6 @@ int main(int argc, char** argv) {
     storage::FileLogConfig store_config;
     store_config.dir = cli.store_dir;
     store_config.fsync = *mp::parse_fsync_policy(cli.fsync);  // vocabulary enforced by parse()
-    store_config.fsync_interval = cli.fsync_interval;
-    store_config.segment_bytes = static_cast<usize>(cli.segment_bytes);
     store = std::make_unique<storage::FileLog>(store_config);
     if (!store->ok()) {
       std::fprintf(stderr, "amm_node: cannot open --store-dir %s: %s\n", cli.store_dir.c_str(),
@@ -145,19 +138,11 @@ int main(int argc, char** argv) {
   for (u32 i = 0; i < n; ++i) {
     config.peers.push_back(net::Endpoint{host, static_cast<u16>(base_port + i)});
   }
-  config.outbound_high_watermark = static_cast<usize>(cli.high_watermark);
-  config.outbound_low_watermark = static_cast<usize>(cli.low_watermark);
   net::TcpTransport transport(config, keys, Rng::for_stream(seed, 0x6e6f6465 + id));
   if (!transport.start()) {
     std::fprintf(stderr, "amm_node: cannot listen on %s:%u\n", host.c_str(),
                  static_cast<unsigned>(base_port + id));
     return 2;
-  }
-  const u32 verify_threads = cli.verify_threads;
-  std::unique_ptr<ThreadPool> verify_pool;
-  if (verify_threads > 0) {
-    verify_pool = std::make_unique<ThreadPool>(verify_threads);
-    transport.set_verify_pool(verify_pool.get());
   }
 
   mp::AbdNode node(NodeId{id}, transport, keys, abd_config);
@@ -213,8 +198,8 @@ int main(int argc, char** argv) {
           node.begin_read([&, item](const std::vector<mp::SignedAppend>& view) {
             // In summary mode the quorum view is the live suffix (no peer
             // ships bodies below the reader's fold), so the folded prefix
-            // contributes through the checkpoint's vote_sum. Retain/off
-            // views still hold every body — plain decide, or the fold
+            // contributes through the checkpoint's vote_sum. An `off`
+            // view still holds every body — plain decide, or the fold
             // would double-count. k below the fold is undecidable in
             // summary mode: the per-record resolution is gone.
             const mp::Checkpoint& ckpt = node.checkpoint();

@@ -8,8 +8,12 @@
 //   if (const std::optional<int> code = opts.parse_or_exit_code(argc, argv)) return *code;
 //
 // NodeConfig is the one struct all node-shaped tools share; the storage
-// flags (--store-dir, --fsync, ...) feed storage::FileLogConfig and
-// mp::AbdConfig in amm_node. The parser itself is support/options.hpp.
+// flags (--store-dir, --fsync, --snapshot-interval) feed
+// storage::FileLogConfig and mp::AbdConfig in amm_node. A flag exists
+// only where a script, CI step or perfbench sets it: finer knobs
+// (backpressure watermarks, verify-cache capacity, fsync interval,
+// segment size) stay fields of the deeper configs, which tests set
+// directly. The parser itself is support/options.hpp.
 #pragma once
 
 #include <string>
@@ -24,8 +28,8 @@ using amm::OptionSet;
 using amm::ParseStatus;
 
 /// Everything a node-shaped process needs, one field per flag. Callers
-/// overwrite the zero-ish defaults that actually come from deeper configs
-/// (watermarks, verify-cache capacity) before add_node_options captures
+/// overwrite the defaults that actually come from deeper configs
+/// (compaction lag, snapshot interval) before add_node_options captures
 /// them for --help.
 struct NodeConfig {
   u32 n = 5;
@@ -33,18 +37,13 @@ struct NodeConfig {
   u64 seed = 20200715;
   std::string host = "127.0.0.1";
   u16 base_port = 9500;
-  std::string backend = "auto";  // event loop: auto|poll|epoll
-  u32 verify_threads = 0;
-  u64 high_watermark = 0;  ///< caller seeds from net::TransportConfig
-  u64 low_watermark = 0;   ///< caller seeds from net::TransportConfig
-  std::string compact = "off";  // off|retain|summary
-  u32 compact_lag = 256;   ///< caller seeds from mp::CompactConfig
-  u64 verify_cache_cap = 0;  ///< caller seeds from mp::AbdConfig
-  std::string store_dir;     ///< empty = memory-only node
-  std::string fsync = "interval";  // never|interval|always
-  u32 fsync_interval = 64;
-  u32 snapshot_interval = 1024;
-  u64 segment_bytes = 4u << 20;
+  std::string backend = "auto";      // event loop: auto|poll|epoll
+  std::string verify_threads = "0";  ///< accepted for perfbench; only "0"
+  std::string compact = "off";       // off|summary
+  u32 compact_lag = 256;             ///< caller seeds from mp::CompactConfig
+  std::string store_dir;             ///< empty = memory-only node
+  std::string fsync = "interval";    // never|interval|always
+  u32 snapshot_interval = 1024;      ///< caller seeds from mp::AbdConfig
 };
 
 /// The node option vocabulary, declared once for every tool that hosts or
@@ -56,27 +55,20 @@ inline void add_node_options(OptionSet& opts, NodeConfig* cfg) {
   opts.add_string("host", &cfg->host, "listen/dial host");
   opts.add_u16("base-port", &cfg->base_port, "node i listens on base-port+i");
   opts.add_enum("backend", &cfg->backend, {"auto", "poll", "epoll"}, "event-loop backend");
-  opts.add_u32("verify-threads", &cfg->verify_threads,
-               "signature-verification worker threads (0 = verify inline)");
-  opts.add_u64("high-watermark", &cfg->high_watermark,
-               "per-peer outbound backpressure high watermark, bytes");
-  opts.add_u64("low-watermark", &cfg->low_watermark,
-               "per-peer outbound backpressure low watermark, bytes");
-  opts.add_enum("compact", &cfg->compact, {"off", "retain", "summary"},
+  // perfbench/run.py passes --verify-threads 0; signatures are always
+  // verified inline on the reactor thread, so 0 is the only value.
+  opts.add_enum("verify-threads", &cfg->verify_threads, {"0"},
+                "signature-verification worker threads; always 0 (verified inline)");
+  opts.add_enum("compact", &cfg->compact, {"off", "summary"},
                 "decided-prefix compaction mode (DESIGN.md §8)");
   opts.add_u32("compact-lag", &cfg->compact_lag,
                "records per author kept live behind the stability cut");
-  opts.add_u64("verify-cache-cap", &cfg->verify_cache_cap,
-               "keys in the node's one VerifyCache, wire and node checks (0 = unbounded)");
   opts.add_string("store-dir", &cfg->store_dir,
                   "durable store directory (empty = memory-only, DESIGN.md §10)");
   opts.add_enum("fsync", &cfg->fsync, {"never", "interval", "always"},
                 "append-log fsync policy");
-  opts.add_u32("fsync-interval", &cfg->fsync_interval,
-               "appends between fdatasyncs with --fsync interval");
   opts.add_u32("snapshot-interval", &cfg->snapshot_interval,
                "admissions between automatic snapshots (0 = never)");
-  opts.add_u64("segment-bytes", &cfg->segment_bytes, "roll log segments beyond this size");
 }
 
 }  // namespace amm::tools
