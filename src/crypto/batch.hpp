@@ -1,12 +1,11 @@
 // A span of signature checks resolved through one VerifyCache.
 //
-// The node path does not batch: TCP wire admission verifies each message
-// inline as its frame is read (net/peer.hpp). verify_batch remains for
-// callers that hold a prepared array of checks, such as perfbench's
+// The node path does not batch: AbdNode verifies each message as it
+// handles it (mp/abd.hpp). verify_batch remains only for perfbench's
 // pb_layers, which times one event-loop cycle's worth of first-seen
-// signatures. Each check goes through VerifyCache::verify, so a
-// duplicate triple costs one registry check and then hits, and a failure
-// is never cached.
+// signatures, and is retired by the next perfbench/ change. Each check
+// goes through VerifyCache::verify, so a duplicate triple costs one
+// registry check and then hits, and a failure is never cached.
 #pragma once
 
 #include <cstddef>

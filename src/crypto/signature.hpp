@@ -97,27 +97,24 @@ class DigestBuilder {
   std::vector<u64> words_;
 };
 
-/// Memoizes *successful* verifications so a record (or ack) that travels
-/// through a node several times — broadcast delivery, then every read
-/// reply that carries it — pays for one registry verification instead of
-/// one per delivery. Keyed by (digest, signer, tag), so a forgery that
-/// reuses a verified record's digest with a different signer or tag never
-/// hits the cache; negative results are never cached, so forged signatures
-/// are re-checked (and re-rejected) on every path. With the simulated
-/// signatures the saving is one siphash per delivery; with a real scheme
-/// (Ed25519) it would be the difference between ~50 µs and a set lookup.
+/// Memoizes *successful* verifications so a triple checked twice pays
+/// for one registry verification. Keyed by (digest, signer, tag), so a
+/// forgery that reuses a verified record's digest with a different signer
+/// or tag never hits the cache; negative results are never cached, so
+/// forged signatures are re-checked (and re-rejected) every time.
+///
+/// No node uses it: with the simulated signatures a hit (one SipHash over
+/// the key plus a set probe) costs more than the one SipHash of a fresh
+/// verify, so AbdNode checks each signature against the registry and
+/// skips records it already holds instead. The class stays for
+/// perfbench's pb_layers (retired by the next perfbench/ change); it
+/// would pay only under a costly scheme such as Ed25519.
 ///
 /// Bounded: entries live in two generations (hot, cold). Admissions go to
 /// hot; a cold hit promotes back to hot. When hot exceeds capacity/2 the
 /// cold generation is dropped and hot becomes cold — a segmented LRU whose
 /// working set survives every rotation while entries untouched for two
-/// rotations fall out. Total footprint stays <= ~capacity keys. The owning
-/// protocol node additionally calls rotate() when it compacts its decided
-/// prefix: records folded into a checkpoint are never re-verified, so
-/// their verdicts are the first to age out (checkpoint-aware eviction).
-/// A node process has one cache: the TCP transport's wire admission
-/// borrows the node's, so rotate() ages the wire verdicts along with the
-/// node's.
+/// rotations fall out. Total footprint stays <= ~capacity keys.
 class VerifyCache {
  public:
   /// `capacity` bounds hot+cold key count; 0 means unbounded (no rotation
@@ -137,9 +134,7 @@ class VerifyCache {
   }
 
   /// Ages both generations one step: cold is dropped (counted as
-  /// evictions), hot becomes cold. Called by the owner after compacting
-  /// its decided prefix — folded records never re-verify, so their cached
-  /// verdicts are dead weight.
+  /// evictions), hot becomes cold.
   void rotate() {
     evictions_ += cold_.size();
     cold_ = std::move(hot_);

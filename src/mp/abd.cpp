@@ -8,7 +8,6 @@ AbdNode::AbdNode(NodeId id, Transport& net, const crypto::KeyRegistry& keys, Abd
     : id_(id),
       net_(&net),
       keys_(&keys),
-      verifier_(keys, config.verify_cache_cap),
       config_(config),
       builder_(keys.node_count()),
       quorum_(net.node_count() / 2 + 1),
@@ -30,9 +29,6 @@ NodeStats AbdNode::stats() const {
   // its checkpoint folded nothing itself but still summarizes these.
   s.records_folded = checkpoint_.folded_records;
   s.live_records = view_.size();
-  s.verify_cache_hits = verifier_.hits();
-  s.verify_cache_misses = verifier_.misses();
-  s.verify_cache_evictions = verifier_.evictions();
   if (config_.storage != nullptr) {
     s.log_bytes = config_.storage->stats().log_bytes;
     s.snapshot_count = config_.storage->stats().snapshot_count;
@@ -63,9 +59,7 @@ void AbdNode::compact_below(u32 s_cut) {
     std::erase_if(view_, [s_cut](const SignedAppend& r) { return r.seq < s_cut; });
   }
   // parked_ only ever holds seqs above the watermark (>= the cut), so
-  // there is nothing to prune there; the verify cache ages a generation —
-  // folded records are never re-verified, so their verdicts die first.
-  verifier_.rotate();
+  // there is nothing to prune there.
 }
 
 void AbdNode::maybe_auto_compact() {
@@ -122,15 +116,26 @@ void AbdNode::begin_read(std::function<void(const std::vector<SignedAppend>&)> d
   net_->broadcast(id_, msg);
 }
 
+bool AbdNode::verify(u64 digest, const crypto::Signature& sig) {
+  ++stats_.verify_cache_misses;
+  return keys_->verify(digest, sig);
+}
+
+bool AbdNode::verify_record(const SignedAppend& rec) {
+  return rec.sig.signer == rec.author && verify(rec.digest(), rec.sig);
+}
+
+bool AbdNode::holds(const SignedAppend& rec) const {
+  // An out-of-registry author is held by no one (and never verifies).
+  const u32 a = rec.author.index;
+  return a < watermark_.size() && (rec.seq < watermark_[a] || parked_[a].contains(rec.seq));
+}
+
 void AbdNode::admit(const SignedAppend& rec) {
   const u32 a = rec.author.index;
   // Out-of-registry authors can never verify (KeyRegistry bounds-checks
   // the signer), so this is unreachable from the handler; reject outright.
-  if (a >= watermark_.size()) return;
-  // Dedup: only verified records reach this point and the simulated
-  // signatures are existentially unforgeable, so (author, seq) identifies
-  // the record — held iff below the contiguous prefix or parked.
-  if (rec.seq < watermark_[a] || parked_[a].contains(rec.seq)) return;
+  if (a >= watermark_.size() || holds(rec)) return;
   if (rec.seq > watermark_[a]) {
     // Out of order (gathered by a read merge before the author's own
     // broadcast arrived): park until the prefix catches up. The park set
@@ -159,7 +164,10 @@ void AbdNode::persist(const SignedAppend& rec) {
   // During recovery the admissions *come from* the log — re-appending them
   // would duplicate the suffix on every restart.
   if (config_.storage == nullptr || recovering_) return;
-  config_.storage->append(rec);
+  // A store that refused a record cannot back an ack for it, and a
+  // degraded FileLog never recovers: from here on the node keeps
+  // admitting and serving reads, memory-only, but acks nothing.
+  if (!config_.storage->append(rec)) storage_failed_ = true;
   if (config_.snapshot_interval != 0 &&
       ++admits_since_snapshot_ >= config_.snapshot_interval) {
     admits_since_snapshot_ = 0;
@@ -188,7 +196,7 @@ u64 AbdNode::recover_from_storage() {
     // trustworthy — anything else (tamper, another node's store, registry
     // mismatch) falls back to replaying the whole retained log, which is
     // slower but never wrong.
-    if (snap->sig.signer == id_ && keys_->verify(snap->digest(), snap->sig) &&
+    if (snap->sig.signer == id_ && verify(snap->digest(), snap->sig) &&
         snap->watermarks.size() == watermark_.size() && builder_.well_formed(snap->checkpoint)) {
       checkpoint_ = snap->checkpoint;
       watermark_ = snap->watermarks;
@@ -216,10 +224,9 @@ u64 AbdNode::recover_from_storage() {
   recovering_ = true;
   const u64 replayed = store.replay(replay_from, [this](const SignedAppend& rec) {
     // The log only ever held verified records, but the disk is outside the
-    // trust boundary — recovery re-verifies exactly like the wire path.
-    if (rec.sig.signer == rec.author && verifier_.verify(rec.digest(), rec.sig)) {
-      admit(rec);
-    }
+    // trust boundary — recovery re-verifies exactly like the read merge,
+    // skipping records a restored snapshot already holds.
+    if (!holds(rec) && verify_record(rec)) admit(rec);
   });
   recovering_ = false;
   stats_.recovery_replayed_records += replayed;
@@ -235,10 +242,14 @@ void AbdNode::handle(NodeId from, const WireMessage& msg) {
   switch (msg.kind) {
     case WireMessage::Kind::kAppend: {
       // Verify the author's signature; a Byzantine relay cannot forge a
-      // correct author's record (Lemma 4.1).
-      if (!verifier_.verify(msg.append.digest(), msg.append.sig)) return;
-      if (msg.append.sig.signer != msg.append.author) return;
+      // correct author's record (Lemma 4.1). Always checked, held or not:
+      // a forged duplicate of a held record must not be acked.
+      if (!verify_record(msg.append)) {
+        ++stats_.sig_rejects;
+        return;
+      }
       admit(msg.append);
+      if (storage_failed_) return;
       WireMessage ack;
       ack.kind = WireMessage::Kind::kAck;
       ack.append = msg.append;
@@ -249,7 +260,12 @@ void AbdNode::handle(NodeId from, const WireMessage& msg) {
     case WireMessage::Kind::kAck: {
       const auto it = pending_appends_.find(msg.append.digest());
       if (it == pending_appends_.end()) return;
-      if (!verifier_.verify(msg.append.digest(), msg.ack_sig)) return;
+      // An acker votes only in its own name: a relay cannot carry another
+      // node's ack, forged or genuine.
+      if (msg.ack_sig.signer != from || !verify(msg.append.digest(), msg.ack_sig)) {
+        ++stats_.sig_rejects;
+        return;
+      }
       it->second.ackers.insert(msg.ack_sig.signer.index);
       if (it->second.ackers.size() >= quorum_) {
         auto done = std::move(it->second.done);
@@ -312,10 +328,14 @@ void AbdNode::handle(NodeId from, const WireMessage& msg) {
       // Merge every validly signed record (Algorithm 3 line 6). A delta
       // reply is a subsequence of the responder's view containing every
       // record above our watermark — i.e. everything we could be missing —
-      // so the merged result is identical to the full-view merge.
+      // so the merged result is identical to the full-view merge. Held
+      // records are skipped unverified: admit() would drop them anyway.
       for (const SignedAppend& rec : msg.view) {
-        if (rec.sig.signer == rec.author && verifier_.verify(rec.digest(), rec.sig)) {
+        if (holds(rec)) continue;
+        if (verify_record(rec)) {
           admit(rec);
+        } else {
+          ++stats_.sig_rejects;
         }
       }
       pr.responders.insert(from.index);
@@ -353,8 +373,10 @@ void AbdNode::handle(NodeId from, const WireMessage& msg) {
       // The reply must be vouched for by the responder itself: a relay or
       // forger cannot re-sign another node's checkpoint (Lemma 4.1), and
       // a malformed summary fails the shape check before any comparison.
-      if (cp.sig.signer != from) return;
-      if (!verifier_.verify(cp.digest(), cp.sig)) return;
+      if (cp.sig.signer != from || !verify(cp.digest(), cp.sig)) {
+        ++stats_.sig_rejects;
+        return;
+      }
       if (!builder_.well_formed(cp)) return;
       for (const auto& [peer, prev] : ps.replies) {
         if (peer == from.index) return;  // one reply per responder counts

@@ -14,6 +14,13 @@
 // read (Lemma 4.2) as long as a majority of nodes is correct and
 // available.
 //
+// handle() is the one place Lemma 4.1 runs, whatever the transport: the
+// simulated Network and TcpTransport both deliver every decoded message
+// and the node checks each signature once, against the registry. A record
+// the node already holds is never admitted again, so the read-reply merge
+// and log replay skip held records before verifying them; an append is
+// always verified before it is acked, held or not.
+//
 // Two wire-volume optimisations on top of the textbook algorithms (the
 // merged views and the quorum logic are unchanged; DESIGN.md §9):
 //
@@ -86,12 +93,10 @@ struct AbdConfig {
   u32 max_pipeline = 32;
   /// Decided-prefix compaction (off by default: memory is unbounded).
   CompactConfig compact{};
-  /// Key capacity of the node's VerifyCache, the one cache the hosting
-  /// transport's wire admission shares (0 = unbounded).
-  usize verify_cache_cap = crypto::VerifyCache::kDefaultCapacity;
   /// Durable storage seam (mp/storage.hpp); nullptr = memory-only node
   /// (the pre-durability behavior, default for sim and tests). Not owned;
-  /// must outlive the node.
+  /// must outlive the node. Once an append to it fails, the node stops
+  /// acking appends (DESIGN.md §10).
   Storage* storage = nullptr;
   /// Admitted records between automatic snapshots (0 = never snapshot
   /// automatically). Only meaningful with a storage backend attached.
@@ -108,16 +113,14 @@ class AbdNode {
   NodeId id() const { return id_; }
   const AbdConfig& config() const { return config_; }
   /// Snapshot of every counter the node owns (mp/node_stats.hpp). The
-  /// transport and process fields (msgs, bytes, reconnects, auth and sig
-  /// rejects, rss) stay zero; the host fills them in.
+  /// transport and process fields (msgs, bytes, reconnects, auth rejects,
+  /// rss) stay zero; the host fills them in.
   NodeStats stats() const;
-  u64 verify_cache_hits() const { return verifier_.hits(); }
-  u64 verify_cache_misses() const { return verifier_.misses(); }
-
-  /// The node's one VerifyCache. A host whose transport verifies at the
-  /// wire hands it over (TcpTransport::set_verify_cache), so the node's
-  /// own re-check of a wire-admitted signature is a cache hit.
-  crypto::VerifyCache& verify_cache() { return verifier_; }
+  /// Shim for perfbench's pb_layers, retired by the next perfbench/ change.
+  u64 verify_cache_hits() const { return 0; }
+  /// Shim for perfbench's pb_layers, retired by the next perfbench/ change:
+  /// the node's registry checks.
+  u64 verify_cache_misses() const { return stats_.verify_cache_misses; }
 
   /// Local view M_v, in arrival order. In summary mode this is only the
   /// live suffix — the folded prefix lives in checkpoint().
@@ -181,6 +184,13 @@ class AbdNode {
 
  private:
   void handle(NodeId from, const WireMessage& msg);
+  /// Lemma 4.1's check, one registry verification (counted).
+  bool verify(u64 digest, const crypto::Signature& sig);
+  /// A record's own author signed it, and the signature verifies.
+  bool verify_record(const SignedAppend& rec);
+  /// Whether (author, seq) is already held: below the contiguous prefix
+  /// or parked. A held record is never admitted again.
+  bool holds(const SignedAppend& rec) const;
   void admit(const SignedAppend& rec);
   void persist(const SignedAppend& rec);
   void launch_append(i64 value, std::function<void()> done);
@@ -212,7 +222,6 @@ class AbdNode {
   NodeId id_;
   Transport* net_;
   const crypto::KeyRegistry* keys_;
-  crypto::VerifyCache verifier_;
   AbdConfig config_;
   CheckpointBuilder builder_;
   u32 quorum_;  // floor(n/2) + 1
@@ -221,6 +230,7 @@ class AbdNode {
   u32 admits_since_compact_ = 0;
   u32 admits_since_snapshot_ = 0;
   bool recovering_ = false;  ///< replaying the log: admissions must not re-append
+  bool storage_failed_ = false;  ///< a Storage::append failed: never ack again
   std::vector<SignedAppend> view_;
   // Frontier bookkeeping: watermark_[a] = length of the contiguous prefix
   // of author a's records this node holds (folded prefix included); seqs
@@ -228,8 +238,8 @@ class AbdNode {
   // prefix catches up. Dedup rides on the same state: only verified
   // records are ever admitted and the simulated signatures are
   // existentially unforgeable, so (author, seq) identifies a record —
-  // `seq < watermark || parked.contains(seq)` is exactly "already held",
-  // which is what let the digest set the node used to carry be dropped.
+  // holds() is exactly "already held", which is what let the digest set
+  // the node used to carry be dropped.
   std::vector<u32> watermark_;
   std::vector<std::unordered_set<u32>> parked_;
   Checkpoint checkpoint_;

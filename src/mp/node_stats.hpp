@@ -1,11 +1,11 @@
 // Unified node telemetry: every counter a hosted node exports — transport,
-// protocol, cache, compaction and (since the durable log) storage — in one
-// struct with one serialization order, filled from two sources.
+// protocol, signatures, compaction and (since the durable log) storage —
+// in one struct with one serialization order, filled from two sources.
 // AbdNode::stats() produces every field the node owns: view, appends,
-// reads and fallbacks, parked rejects, recovery replay, the checkpoint's
-// fold count, live records, its one VerifyCache's counters, and the
-// storage seam's log bytes and snapshot count. The host adds the six it
-// alone knows: msgs, bytes, reconnects, auth_rejects, sig_rejects, rss_kb.
+// signature rejects and registry checks, reads and fallbacks, parked
+// rejects, recovery replay, the checkpoint's fold count, live records,
+// and the storage seam's log bytes and snapshot count. The host adds the
+// five it alone knows: msgs, bytes, reconnects, auth_rejects, rss_kb.
 //
 // kNodeStatsFields is the single source of truth: the control-plane codec
 // (net/codec.cpp), amm_ctl's `stats` printout, amm_swarm's per-node table
@@ -30,14 +30,17 @@ struct NodeStats {
   u64 appends_issued = 0;  ///< append operations this node started
   u64 reconnects = 0;      ///< outbound links re-dialed after a drop
   u64 auth_rejects = 0;    ///< handshakes refused (bad hello signature)
-  u64 sig_rejects = 0;     ///< wire messages dropped for bad signatures
+  u64 sig_rejects = 0;     ///< messages and read-reply records failing Lemma 4.1
   u64 reads_served_full = 0;   ///< read requests answered with a full view
   u64 reads_served_delta = 0;  ///< read requests answered above a frontier
   u64 read_records_sent = 0;   ///< records shipped in this node's read replies
   u64 read_fallbacks = 0;      ///< this node's delta reads that fell back to full
-  u64 verify_cache_hits = 0;   ///< signature checks answered by the verify cache
-  u64 verify_cache_misses = 0;     ///< registry checks: one per signature per node
-  u64 verify_cache_evictions = 0;  ///< cache keys aged out by rotation
+  // The node has no verify cache; the three verify_cache_* keys stay for
+  // perfbench/run.py, which reads them by name, until the next perfbench/
+  // change retires them.
+  u64 verify_cache_hits = 0;       ///< always 0
+  u64 verify_cache_misses = 0;     ///< registry checks the node made
+  u64 verify_cache_evictions = 0;  ///< always 0
   u64 records_folded = 0;  ///< records summarized by the checkpoint
   u64 live_records = 0;    ///< record bodies currently held (view size)
   u64 parked_rejects = 0;  ///< admissions refused by the parked cap

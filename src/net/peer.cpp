@@ -102,30 +102,4 @@ bool verify_hello(const Hello& hello, u32 node_count, const crypto::KeyRegistry&
   return keys.verify(hello.digest(), hello.sig);
 }
 
-Admission admit_wire_message(mp::WireMessage& msg, NodeId from, crypto::VerifyCache& cache,
-                             u64* filtered) {
-  const auto admit = [](bool ok) { return ok ? Admission::kDeliver : Admission::kReject; };
-  switch (msg.kind) {
-    case mp::WireMessage::Kind::kAppend:
-      return admit(msg.append.sig.signer == msg.append.author &&
-                   cache.verify(msg.append.digest(), msg.append.sig));
-    case mp::WireMessage::Kind::kAck:
-      return admit(msg.ack_sig.signer == from && cache.verify(msg.append.digest(), msg.ack_sig));
-    case mp::WireMessage::Kind::kReadReq:
-    case mp::WireMessage::Kind::kCheckpointReq:
-      return Admission::kDeliver;
-    case mp::WireMessage::Kind::kCheckpointReply:
-      return admit(msg.checkpoint.sig.signer == from &&
-                   cache.verify(msg.checkpoint.digest(), msg.checkpoint.sig));
-    case mp::WireMessage::Kind::kReadReply: {
-      const auto removed = std::erase_if(msg.view, [&cache](const mp::SignedAppend& rec) {
-        return rec.sig.signer != rec.author || !cache.verify(rec.digest(), rec.sig);
-      });
-      if (filtered != nullptr) *filtered += removed;
-      return Admission::kDeliver;
-    }
-  }
-  return Admission::kReject;
-}
-
 }  // namespace amm::net

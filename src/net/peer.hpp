@@ -1,4 +1,4 @@
-// Peer sessions and wire-level admission control for the TCP transport.
+// Peer sessions and hello authentication for the TCP transport.
 //
 // A Session owns one TCP connection's buffered state (receive buffer,
 // outbound frame queues, handshake progress). Inbound protocol sessions
@@ -15,14 +15,10 @@
 // and tracks the partially written frame so frames stay atomic on the
 // wire no matter where a short write lands.
 //
-// Lemma 4.1 at the wire is one function, admit_wire_message(), called
-// as each kMsg frame is read: the structural rules (who may sign what)
-// and the signature checks run in one pass against the hosted node's
-// VerifyCache, and the message is dropped or filtered before it is
-// queued for dispatch. AbdNode re-checks every record on its own layer;
-// since it owns that same cache, the re-check of a wire-admitted
-// signature is a hit. The wire check exists so a compromised peer cannot
-// even spend handler CPU.
+// Signatures are not checked here: the transport hands every decoded
+// kMsg to the hosted node, whose handler is the one place Lemma 4.1 runs
+// (mp/abd.hpp). The hello is the exception — it authenticates the session
+// itself, so the transport verifies it before any message is dispatched.
 #pragma once
 
 #include <deque>
@@ -134,12 +130,6 @@ struct FlushResult {
 /// with MSG_DONTWAIT regardless.
 FlushResult flush_session_buffers(Session& session, usize max_iov = kMaxWriteIov);
 
-/// Outcome of wire-level admission of one decoded message.
-enum class Admission : u8 {
-  kDeliver,   ///< hand to the protocol handler (possibly with view filtered)
-  kReject,    ///< drop the message, keep the session
-};
-
 /// Builds the hello this endpoint sends when dialing peer connections.
 Hello make_hello(NodeId self, u64 nonce, const crypto::KeyRegistry& keys);
 
@@ -147,20 +137,5 @@ Hello make_hello(NodeId self, u64 nonce, const crypto::KeyRegistry& keys);
 /// signature must be the claimed node's signature over the hello digest,
 /// and the claimed node id must be inside the cluster.
 bool verify_hello(const Hello& hello, u32 node_count, const crypto::KeyRegistry& keys);
-
-/// Lemma 4.1 admission of one decoded message at the wire, received on
-/// a session authenticated as `from`. Structural rules first — kAppend:
-/// signer == author; kAck: signer == `from` (an acker cannot vote in
-/// someone else's name); kCheckpointReply: signer == `from` (a responder
-/// vouches for its own checkpoint; the quorum cross-check happens at the
-/// protocol layer) — then the signature through `cache`. One failure
-/// rejects the message. kReadReply is always delivered, but every record
-/// whose signer is not its author or whose signature fails is removed
-/// from msg.view in place, order kept (`*filtered` counts them). kReadReq
-/// and kCheckpointReq carry no signature (a lying frontier can only
-/// change *which* records come back, and the reader's merge re-verifies
-/// all of them).
-Admission admit_wire_message(mp::WireMessage& msg, NodeId from, crypto::VerifyCache& cache,
-                             u64* filtered);
 
 }  // namespace amm::net

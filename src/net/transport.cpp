@@ -367,13 +367,6 @@ bool TcpTransport::handle_frame(Session& session, const FrameView& frame) {
       if (session.state != SessionState::kProtocol || session.outbound) return false;
       auto msg = decode_message(frame.payload);
       if (!msg) return false;  // corrupt payload: drop the connection
-      // Lemma 4.1 on the wire: structure and signatures, before queueing.
-      AMM_EXPECTS(verifier_ != nullptr);  // set_verify_cache before traffic
-      if (admit_wire_message(*msg, session.peer, *verifier_, &sig_rejects_) ==
-          Admission::kReject) {
-        ++sig_rejects_;
-        return true;  // reject the message, keep the session
-      }
       pending_msgs_.push_back(PendingMessage{session.peer, std::move(*msg)});
       return true;
     }
@@ -391,7 +384,7 @@ bool TcpTransport::handle_frame(Session& session, const FrameView& frame) {
   return false;
 }
 
-void TcpTransport::dispatch_admitted() {
+void TcpTransport::dispatch_pending() {
   // Deterministic dispatch: by author, stable — per-session FIFO (the one
   // order TCP guarantees) is preserved, and the sequence no longer depends
   // on which backend fired or in what order fds became ready.
@@ -564,8 +557,8 @@ void TcpTransport::poll_once(std::chrono::milliseconds max_wait) {
     }
   }
 
-  // Everything admitted this cycle, in author order.
-  dispatch_admitted();
+  // Everything decoded this cycle, in author order.
+  dispatch_pending();
 
   // Handlers may have produced traffic — flush opportunistically so a
   // request/reply exchange completes in one poll round-trip per hop.

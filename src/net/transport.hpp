@@ -17,14 +17,13 @@
 // batch of small frames — with POLLOUT interest maintained only while
 // bytes remain.
 //
-// Message dispatch is deterministic per author: each kMsg frame passes
-// Lemma 4.1 wire admission (net/peer.hpp) as it is read, its signatures
-// checked inline against the hosted node's VerifyCache (borrowed, not
-// owned); the admitted messages of one drain cycle then dispatch sorted
-// by author id (stable, so per-session FIFO order — the only order TCP
-// guarantees — is preserved). The delivered message sequence therefore
-// does not depend on which readiness backend fired or in what order fds
-// became ready.
+// Message dispatch is deterministic per author: every decoded kMsg frame
+// is queued as it is read, unchecked — the hosted node verifies each
+// signature itself (mp/abd.hpp) — and the messages of one drain cycle
+// then dispatch sorted by author id (stable, so per-session FIFO order —
+// the only order TCP guarantees — is preserved). The delivered message
+// sequence therefore does not depend on which readiness backend fired or
+// in what order fds became ready.
 //
 // Backpressure: each session carries a byte budget with high/low
 // watermarks. A peer that stops reading pushes the session over the high
@@ -112,7 +111,7 @@ class TcpTransport final : public mp::Transport {
 
   /// Runs one reactor iteration: waits up to `max_wait` for socket events
   /// or the next reconnect deadline, then performs all due I/O, delivers
-  /// every message admitted during it, and flushes sessions with queued
+  /// every message decoded during it, and flushes sessions with queued
   /// output.
   void poll_once(std::chrono::milliseconds max_wait);
 
@@ -128,13 +127,6 @@ class TcpTransport final : public mp::Transport {
   /// ctl handler mid-dispatch cannot destroy sessions the cycle still
   /// references.
   void kick_outbound();
-
-  /// The verify cache wire admission checks signatures against: the
-  /// hosted node's own (AbdNode::verify_cache()), so a signature admitted
-  /// here is a hit when the node re-checks it. Required before the first
-  /// protocol message arrives; it must stay alive while the transport
-  /// polls.
-  void set_verify_cache(crypto::VerifyCache* cache) { verifier_ = cache; }
 
   // mp::Transport
   u32 node_count() const override { return static_cast<u32>(config_.peers.size()); }
@@ -153,7 +145,6 @@ class TcpTransport final : public mp::Transport {
   // observability
   u64 reconnects() const { return reconnects_; }
   u64 auth_rejects() const { return auth_rejects_; }
-  u64 sig_rejects() const { return sig_rejects_; }
   u64 frames_dropped() const { return frames_dropped_; }
   u64 backpressure_drops() const { return backpressure_drops_; }
   u64 writev_calls() const { return writev_calls_; }
@@ -180,7 +171,7 @@ class TcpTransport final : public mp::Transport {
     std::deque<FrameBuf> pending;      ///< encoded frames awaiting a link
   };
 
-  /// One admitted kMsg awaiting this cycle's dispatch.
+  /// One decoded kMsg awaiting this cycle's dispatch.
   struct PendingMessage {
     NodeId from;
     mp::WireMessage msg;
@@ -195,7 +186,7 @@ class TcpTransport final : public mp::Transport {
   bool read_session(Session& session);     ///< false = session died
   bool drain_frames(Session& session);     ///< false = corrupt, drop it
   bool handle_frame(Session& session, const FrameView& frame);
-  void dispatch_admitted();                ///< sort by author, deliver
+  void dispatch_pending();                 ///< sort by author, deliver
   void flush_and_sync(Session& session);   ///< writev drain + interest upkeep
   void flush_dirty();
   void mark_dirty(Session& session);
@@ -210,7 +201,6 @@ class TcpTransport final : public mp::Transport {
   Rng rng_;
   Handler handler_;
   CtlHandler ctl_handler_;
-  crypto::VerifyCache* verifier_ = nullptr;  ///< the hosted node's cache
 
   std::unique_ptr<EventLoop> loop_;
   int listen_fd_ = -1;
@@ -235,7 +225,6 @@ class TcpTransport final : public mp::Transport {
   u64 bytes_sent_ = 0;
   u64 reconnects_ = 0;
   u64 auth_rejects_ = 0;
-  u64 sig_rejects_ = 0;
   u64 frames_dropped_ = 0;
   u64 backpressure_drops_ = 0;
   u64 writev_calls_ = 0;

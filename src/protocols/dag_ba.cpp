@@ -207,19 +207,13 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
     out.decision_set_size = params.k;
   };
 
-  // Carried across rounds under full ordering: views only grow, so the
-  // graph is extended with the newly visible appends instead of being
-  // rebuilt from scratch at decision time (extend is bit-identical to a
-  // from-scratch build of the same view).
-  chain::BlockGraph carried;
-
   auto decide_full = [&] {
     // Exact Algorithm 6 lines 9–10: linearize the whole DAG along the
     // pivot chain and take the first k values of the ordering.
     const am::MemoryView view = st.memory().read();
-    carried.extend(view);
-    check::check_graph(carried);
-    const std::vector<am::MsgId> order = chain::linearize_dag(carried, params.pivot_rule);
+    const chain::BlockGraph graph(view);
+    check::check_graph(graph);
+    const std::vector<am::MsgId> order = chain::linearize_dag(graph, params.pivot_rule);
     i64 sum = 0;
     u64 byz_in_cut = 0;
     const u32 cut = std::min<u32>(params.k, static_cast<u32>(order.size()));

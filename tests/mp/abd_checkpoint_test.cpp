@@ -1,7 +1,7 @@
 // Decided-prefix compaction (DESIGN.md §8): CheckpointBuilder folding,
 // retain/summary compaction on live worlds, quorum checkpoint sync with a
-// lying forger outvoted, parked-cap admission refusal, the bounded
-// verify cache's rotation counters, and the node's stats() snapshot.
+// lying forger outvoted, parked-cap admission refusal, and the node's
+// stats() snapshot.
 #include "mp/abd.hpp"
 
 #include <gtest/gtest.h>
@@ -10,53 +10,12 @@
 #include <memory>
 #include <utility>
 
+#include "inject_transport.hpp"
 #include "mp/network.hpp"
 #include "net/decision.hpp"
 
 namespace amm::mp {
 namespace {
-
-// ---- a capture-only transport for single-node protocol surgery ----
-//
-// send()/broadcast() log instead of delivering, so a test can feed one
-// AbdNode a hand-crafted message sequence (out-of-order records, forged
-// checkpoint replies) and inspect exactly what the node emits.
-class InjectTransport final : public Transport {
- public:
-  explicit InjectTransport(u32 n) : n_(n), handlers_(n) {}
-
-  u32 node_count() const override { return n_; }
-  void attach(NodeId id, Handler handler) override {
-    handlers_[id.index] = std::move(handler);
-  }
-  void send(NodeId from, NodeId to, WireMessage msg) override {
-    ++messages_sent_;
-    bytes_sent_ += msg.wire_size();
-    outbox.emplace_back(from, std::move(msg));
-    (void)to;
-  }
-  void broadcast(NodeId from, const WireMessage& msg) override {
-    ++messages_sent_;
-    bytes_sent_ += msg.wire_size();
-    outbox.emplace_back(from, msg);
-  }
-  u64 messages_sent() const override { return messages_sent_; }
-  u64 bytes_sent() const override { return bytes_sent_; }
-
-  /// Delivers `msg` to node `to` as if sent by `from`.
-  void deliver(NodeId from, NodeId to, const WireMessage& msg) {
-    ASSERT_TRUE(handlers_[to.index]);
-    handlers_[to.index](from, msg);
-  }
-
-  std::vector<std::pair<NodeId, WireMessage>> outbox;
-
- private:
-  u32 n_;
-  std::vector<Handler> handlers_;
-  u64 messages_sent_ = 0;
-  u64 bytes_sent_ = 0;
-};
 
 SignedAppend make_signed(const crypto::KeyRegistry& keys, u32 author, u32 seq, i64 value) {
   SignedAppend rec;
@@ -413,30 +372,6 @@ TEST(AbdCheckpoint, ParkedCapRefusesOutOfOrderFlood) {
   base.append = make_signed(keys, 1, 0, 1);
   net.deliver(NodeId{1}, NodeId{0}, base);
   EXPECT_EQ(node.live_records(), 3u);
-}
-
-TEST(AbdCheckpoint, VerifyCacheRotationBoundsAndCounters) {
-  crypto::KeyRegistry keys(2, 31);
-  InjectTransport net(2);
-  const AbdConfig tiny_cache{.verify_cache_cap = 8};
-  AbdNode node(NodeId{0}, net, keys, tiny_cache);
-
-  for (u32 seq = 0; seq < 100; ++seq) {
-    WireMessage append;
-    append.kind = WireMessage::Kind::kAppend;
-    append.append = make_signed(keys, 1, seq, 1);
-    net.deliver(NodeId{1}, NodeId{0}, append);
-    // Redeliver: the duplicate's signature check hits the cache.
-    net.deliver(NodeId{1}, NodeId{0}, append);
-  }
-  EXPECT_EQ(node.live_records(), 100u);
-  const NodeStats stats = node.stats();
-  EXPECT_GT(stats.verify_cache_misses, 0u);
-  EXPECT_GT(stats.verify_cache_hits, 0u);
-  EXPECT_GT(stats.verify_cache_evictions, 0u);
-  // Two generations of at most capacity/2 + 1 keys each. Every miss here
-  // verified and was cached, so the keys still held are misses - evictions.
-  EXPECT_LE(stats.verify_cache_misses - stats.verify_cache_evictions, 10u);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <optional>
 
 #include "mp/network.hpp"
 
@@ -257,8 +260,9 @@ TEST(Abd, PipelineBoundIsRespected) {
 TEST(Abd, ForgerDeltaRepliesRejectedWithoutViewCorruption) {
   // Lemma 4.1 under delta reads: the forger answers read requests with an
   // above-frontier forgery plus below-frontier replays of genuine records.
-  // Correct nodes must reject the forgery on every path (the verify cache
-  // must not short-circuit it) and deduplicate the replays.
+  // Correct nodes must reject the forgery on every path (it is held by no
+  // one, so the held-first merge never skips it) and deduplicate the
+  // replays.
   crypto::KeyRegistry keys(5, 7);
   Network net(5, 0.05, 0.5, Rng(8));
   std::vector<std::unique_ptr<AbdNode>> nodes;
@@ -332,23 +336,138 @@ TEST(Abd, BadFrontierEchoFallsBackToFullRead) {
   EXPECT_EQ(reader.stats().read_fallbacks, 1u);
 }
 
-TEST(Abd, VerifyCacheCountsRepeatedDeliveries) {
+TEST(Abd, FullReadOfHeldRecordsMakesNoRegistryCheck) {
   // Each record travels to a node several times (broadcast, then again in
-  // every full-view read reply); only the first delivery pays a registry
-  // verification — later ones are cache hits. Forged records are covered
-  // by ForgerDeltaRepliesRejectedWithoutViewCorruption: they are rejected
-  // on every delivery and never enter the cache.
+  // every full-view read reply); only the broadcast pays a registry
+  // verification. A reply record the node already holds is skipped before
+  // any check: admission would drop it anyway. Forged records are covered
+  // by ForgerDeltaRepliesRejectedWithoutViewCorruption: they are held by
+  // no one, so they are checked and rejected on every delivery.
   Cluster legacy(4, 0, 2, kLegacy);
   for (i64 v = 0; v < 3; ++v) {
     legacy.nodes[0]->begin_append(v, [] {});
     legacy.net.queue().run();
   }
-  const u64 before = legacy.nodes[1]->verify_cache_hits();
-  legacy.nodes[1]->begin_read([](const std::vector<SignedAppend>&) {});
+  ASSERT_EQ(legacy.nodes[1]->local_view().size(), 3u);
+  const u64 before = legacy.nodes[1]->stats().verify_cache_misses;
+  std::vector<SignedAppend> result;
+  legacy.nodes[1]->begin_read([&](const std::vector<SignedAppend>& view) { result = view; });
   legacy.net.queue().run();
   // The read re-delivered all 3 records to node 1 in the full views of a
-  // quorum of responders; every one of those checks must hit the cache.
-  EXPECT_GE(legacy.nodes[1]->verify_cache_hits() - before, 3u);
+  // quorum of responders; none of them cost a registry check.
+  EXPECT_EQ(result.size(), 3u);
+  EXPECT_EQ(legacy.nodes[1]->stats().verify_cache_misses, before);
+  EXPECT_EQ(legacy.nodes[1]->verify_cache_hits(), 0u);
+}
+
+// ---- a store that refuses appends (durability gap 2, DESIGN.md §10) ----
+
+/// MemStorage whose append fails for the first `refusals` records and
+/// succeeds afterwards.
+class RefusingStorage final : public Storage {
+ public:
+  explicit RefusingStorage(u32 refusals) : refusals_(refusals) {}
+
+  bool append(const SignedAppend& rec) override {
+    if (refusals_ > 0) {
+      --refusals_;
+      return false;
+    }
+    return inner_.append(rec);
+  }
+  std::optional<Snapshot> load_snapshot() override { return inner_.load_snapshot(); }
+  bool write_snapshot(const Snapshot& snap) override { return inner_.write_snapshot(snap); }
+  u64 replay(u64 from_seq, const std::function<void(const SignedAppend&)>& cb) override {
+    return inner_.replay(from_seq, cb);
+  }
+  u64 log_seq() const override { return inner_.log_seq(); }
+  FsyncPolicy fsync_policy() const override { return inner_.fsync_policy(); }
+  const StorageStats& stats() const override { return inner_.stats(); }
+
+ private:
+  u32 refusals_;
+  MemStorage inner_;
+};
+
+/// n = 3 over the simulated network; nodes in `refusing` get a store that
+/// refuses every append, the others a working one.
+struct DurableCluster {
+  explicit DurableCluster(std::vector<u32> refusing, u64 seed = 3)
+      : keys(3, seed), net(3, 0.05, 0.5, Rng(seed + 1)) {
+    for (u32 i = 0; i < 3; ++i) {
+      const bool refuses = std::find(refusing.begin(), refusing.end(), i) != refusing.end();
+      if (refuses) {
+        stores.push_back(std::make_unique<RefusingStorage>(~0u));
+      } else {
+        stores.push_back(std::make_unique<MemStorage>());
+      }
+      AbdConfig config;
+      config.storage = stores.back().get();
+      nodes.push_back(std::make_unique<AbdNode>(NodeId{i}, net, keys, config));
+    }
+  }
+
+  crypto::KeyRegistry keys;
+  Network net;
+  std::vector<std::unique_ptr<Storage>> stores;
+  std::vector<std::unique_ptr<AbdNode>> nodes;
+};
+
+TEST(AbdStorageFailure, OneRefusingStoreStillCompletesAppends) {
+  DurableCluster c({2});
+  bool from_healthy = false, from_refusing = false;
+  c.nodes[0]->begin_append(1, [&] { from_healthy = true; });
+  c.nodes[2]->begin_append(2, [&] { from_refusing = true; });
+  c.net.queue().run();
+  // Nodes 0 and 1 ack both appends: a quorum of 2 without node 2.
+  EXPECT_TRUE(from_healthy);
+  EXPECT_TRUE(from_refusing);
+  // The refusing node still admitted both records, memory-only.
+  EXPECT_EQ(c.nodes[2]->local_view().size(), 2u);
+  EXPECT_EQ(c.nodes[2]->stats().log_bytes, 0u);
+}
+
+TEST(AbdStorageFailure, TwoRefusingStoresBlockAppends) {
+  DurableCluster c({1, 2});
+  bool appended = false;
+  c.nodes[0]->begin_append(7, [&] { appended = true; });
+  c.net.queue().run();
+  // Only node 0 acks: one of a quorum of two.
+  EXPECT_FALSE(appended);
+  EXPECT_EQ(c.nodes[0]->appends_in_flight(), 1u);
+  for (const auto& node : c.nodes) {
+    ASSERT_EQ(node->local_view().size(), 1u);
+    EXPECT_EQ(node->local_view()[0].value, 7);
+  }
+  // The refusing nodes still serve reads.
+  std::vector<SignedAppend> result;
+  c.nodes[1]->begin_read([&](const std::vector<SignedAppend>& view) { result = view; });
+  c.net.queue().run();
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_EQ(result[0].value, 7);
+}
+
+TEST(AbdStorageFailure, FirstRefusalWithholdsEveryLaterAck) {
+  // One refusal, then a store that accepts again: the node stays silent,
+  // as it would behind a FileLog whose degraded mode never recovers.
+  crypto::KeyRegistry keys(3, 5);
+  Network net(3, 0.05, 0.5, Rng(6));
+  RefusingStorage refuses_once(1);
+  MemStorage healthy;
+  AbdConfig refusing_config;
+  refusing_config.storage = &refuses_once;
+  AbdConfig healthy_config;
+  healthy_config.storage = &healthy;
+  AbdNode author(NodeId{0}, net, keys, healthy_config);
+  AbdNode degraded(NodeId{1}, net, keys, refusing_config);
+  CrashedNode crashed(NodeId{2}, net);
+
+  u32 completed = 0;
+  for (i64 v = 0; v < 3; ++v) author.begin_append(v, [&] { ++completed; });
+  net.queue().run();
+  EXPECT_EQ(completed, 0u);
+  EXPECT_EQ(degraded.local_view().size(), 3u);
+  EXPECT_EQ(refuses_once.stats().log_records, 2u);  // the store took the later two
 }
 
 }  // namespace

@@ -33,8 +33,6 @@ struct TcpCluster {
       config.backoff_max = 50ms;
       transports.push_back(
           std::make_unique<TcpTransport>(config, keys, Rng::for_stream(seed, i)));
-      caches.push_back(std::make_unique<crypto::VerifyCache>(keys));
-      transports.back()->set_verify_cache(caches.back().get());
       EXPECT_TRUE(transports.back()->start());
     }
     for (u32 i = 0; i < n; ++i) {
@@ -57,18 +55,12 @@ struct TcpCluster {
     return done();
   }
 
-  /// Hosts an AbdNode on transport i and hands the transport the node's
-  /// verify cache, as amm_node does.
+  /// Hosts an AbdNode on transport i, as amm_node does.
   std::unique_ptr<mp::AbdNode> host(u32 i, const mp::AbdConfig& config = {}) {
-    auto node = std::make_unique<mp::AbdNode>(NodeId{i}, *transports[i], keys, config);
-    transports[i]->set_verify_cache(&node->verify_cache());
-    return node;
+    return std::make_unique<mp::AbdNode>(NodeId{i}, *transports[i], keys, config);
   }
 
   crypto::KeyRegistry keys;
-  /// Standalone caches for transports driven by raw handlers; host()
-  /// replaces a transport's with its node's.
-  std::vector<std::unique_ptr<crypto::VerifyCache>> caches;
   std::vector<std::unique_ptr<TcpTransport>> transports;
 };
 
@@ -144,10 +136,10 @@ TEST(TcpTransport, PipelinedAppendsAndDeltaReadsOverRealSockets) {
 }
 
 TEST(TcpTransport, FollowerVerifiesEachReceivedSignatureOnce) {
-  // One VerifyCache per node: the wire batch and the node's own re-check
-  // share it, so a follower's registry verifications (its cache misses)
-  // equal the distinct signatures it received, however often each arrived
-  // — broadcast, the node's re-check, then every full read reply.
+  // The node is the one place signatures are checked: a follower's
+  // registry verifications equal the distinct signatures it received,
+  // however often each arrived — broadcast, then every full read reply,
+  // which re-carries records the follower already holds.
   TcpCluster cluster(3);
   mp::AbdConfig full_reads;
   full_reads.delta_reads = false;  // replies re-carry every record
@@ -169,10 +161,10 @@ TEST(TcpTransport, FollowerVerifiesEachReceivedSignatureOnce) {
 
   // Follower 2 received author 0's kAppends signatures and nothing else
   // signed: its acks go to the author, and the replies carry the same
-  // records. Each verified once; every later sighting was a hit.
+  // records. Each verified once; every later sighting was skipped as held.
   const mp::NodeStats stats = nodes[2]->stats();
   EXPECT_EQ(stats.verify_cache_misses, kAppends);
-  EXPECT_GE(stats.verify_cache_hits, 2u * kAppends);
+  EXPECT_EQ(stats.verify_cache_hits, 0u);
 }
 
 TEST(TcpTransport, AppendCompletesWithMinorityDown) {
@@ -247,19 +239,27 @@ TEST(TcpTransport, UnauthenticatedHelloDropped) {
 
 TEST(TcpTransport, ForgedAppendRejectedOnTheWire) {
   // A correctly authenticated peer injecting a record with a forged author
-  // signature: the transport drops the message before the handler runs
-  // (Lemma 4.1 enforced at the wire).
+  // signature: the transport delivers it like any decoded message, and the
+  // hosted node rejects it — neither admitted nor acked (Lemma 4.1 runs in
+  // the node, for every transport).
   TcpCluster cluster(2);
-  u64 delivered = 0;
-  cluster.transports[0]->attach(NodeId{0},
-                                [&](NodeId, const mp::WireMessage&) { ++delivered; });
+  const std::unique_ptr<mp::AbdNode> node = cluster.host(0);
+  u64 acks = 0, replies = 0;
+  cluster.transports[1]->attach(NodeId{1}, [&](NodeId, const mp::WireMessage& msg) {
+    if (msg.kind == mp::WireMessage::Kind::kAck) ++acks;
+    if (msg.kind == mp::WireMessage::Kind::kReadReply) ++replies;
+  });
 
+  // Both claim node 1 as author, so an ack would come back to node 1.
   mp::WireMessage forged;
   forged.kind = mp::WireMessage::Kind::kAppend;
-  forged.append.author = NodeId{0};  // claims node 0 authored it
+  forged.append.author = NodeId{1};
   forged.append.seq = 1;
   forged.append.value = -42;
-  forged.append.sig = cluster.keys.sign(NodeId{1}, forged.append.digest());  // signer != author
+  forged.append.sig = cluster.keys.sign(NodeId{0}, forged.append.digest());  // signer != author
+  cluster.transports[1]->send(NodeId{1}, NodeId{0}, forged);
+  forged.append.sig = cluster.keys.sign(NodeId{1}, forged.append.digest());
+  forged.append.sig.tag ^= 1;  // the author's key, a forged tag
   cluster.transports[1]->send(NodeId{1}, NodeId{0}, forged);
 
   mp::WireMessage valid;
@@ -267,9 +267,12 @@ TEST(TcpTransport, ForgedAppendRejectedOnTheWire) {
   valid.read_id = 9;
   cluster.transports[1]->send(NodeId{1}, NodeId{0}, valid);
 
-  ASSERT_TRUE(cluster.pump_until([&] { return delivered > 0; }));
-  EXPECT_EQ(delivered, 1u);  // the read request, never the forgery
-  EXPECT_GE(cluster.transports[0]->sig_rejects(), 1u);
+  // Per-session FIFO: the read reply means the forgeries were handled
+  // first, and an ack would have been sent before it.
+  ASSERT_TRUE(cluster.pump_until([&] { return replies > 0; }));
+  EXPECT_EQ(acks, 0u);
+  EXPECT_TRUE(node->local_view().empty());
+  EXPECT_EQ(node->stats().sig_rejects, 2u);
 }
 
 TEST(TcpTransport, DecisionRuleAgreesAcrossNodes) {

@@ -28,8 +28,8 @@
 // opens with a checkpoint sync: it adopts the decided prefix its peers
 // agree on by quorum, then delta-reads only the live suffix.
 //
-// Signatures are verified inline on the reactor thread as frames are read
-// (net/peer.hpp); --verify-threads accepts only 0 and exists because
+// The node verifies every signature itself, once, on the reactor thread
+// (mp/abd.hpp); --verify-threads accepts only 0 and exists because
 // perfbench/run.py passes it.
 //
 // Node i listens on base-port+i and dials every other node. All nodes of a
@@ -146,7 +146,6 @@ int main(int argc, char** argv) {
   }
 
   mp::AbdNode node(NodeId{id}, transport, keys, abd_config);
-  transport.set_verify_cache(&node.verify_cache());
 
   // Local recovery runs before any wire activity: snapshot + log replay
   // rebuild the pre-crash view, and the advanced watermarks then make the
@@ -237,7 +236,6 @@ int main(int argc, char** argv) {
           reply.stats.bytes_sent = transport.bytes_sent();
           reply.stats.reconnects = transport.reconnects();
           reply.stats.auth_rejects = transport.auth_rejects();
-          reply.stats.sig_rejects = transport.sig_rejects();
           reply.stats.rss_kb = resident_kb();
           transport.send_ctl_reply(item.session, reply);
           break;

@@ -11,9 +11,9 @@
 // flags (--store-dir, --fsync, --snapshot-interval) feed
 // storage::FileLogConfig and mp::AbdConfig in amm_node. A flag exists
 // only where a script, CI step or perfbench sets it: finer knobs
-// (backpressure watermarks, verify-cache capacity, fsync interval,
-// segment size) stay fields of the deeper configs, which tests set
-// directly. The parser itself is support/options.hpp.
+// (backpressure watermarks, fsync interval, segment size) stay fields
+// of the deeper configs, which tests set directly. The parser itself is
+// support/options.hpp.
 #pragma once
 
 #include <string>
@@ -55,8 +55,8 @@ inline void add_node_options(OptionSet& opts, NodeConfig* cfg) {
   opts.add_string("host", &cfg->host, "listen/dial host");
   opts.add_u16("base-port", &cfg->base_port, "node i listens on base-port+i");
   opts.add_enum("backend", &cfg->backend, {"auto", "poll", "epoll"}, "event-loop backend");
-  // perfbench/run.py passes --verify-threads 0; signatures are always
-  // verified inline on the reactor thread, so 0 is the only value.
+  // perfbench/run.py passes --verify-threads 0; the node verifies every
+  // signature itself on the reactor thread, so 0 is the only value.
   opts.add_enum("verify-threads", &cfg->verify_threads, {"0"},
                 "signature-verification worker threads; always 0 (verified inline)");
   opts.add_enum("compact", &cfg->compact, {"off", "summary"},

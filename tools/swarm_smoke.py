@@ -12,7 +12,7 @@ Measurement controls (the committed BENCH_net.json baseline uses all three):
   --fresh-cluster-per-rung   boot a new cluster for every rung (and every
       trial) so a rung never inherits the previous rung's record history or
       its idle-population teardown. Append cost creeps up with history
-      (growing digest/verify-cache tables), so a shared cluster tilts the
+      (growing per-record node state), so a shared cluster tilts the
       ladder against its later rungs.
   --total-appends N          per-writer appends = N // writers, so every
       rung performs the same total work and deposits the same history —
@@ -24,7 +24,7 @@ Measurement controls (the committed BENCH_net.json baseline uses all three):
 Exit status is nonzero if any swarm invocation fails (incomplete rung,
 unreachable cluster), making this a cheap end-to-end smoke for the whole
 high-fanout path: connect burst -> accept -> ctl append -> ABD quorum ->
-batched verify -> ctl reply, under both readiness backends.
+signature verify -> ctl reply, under both readiness backends.
 
 Usage:
   tools/swarm_smoke.py --bin-dir build/tools [--n 3] [--scale 8,32]
