@@ -79,6 +79,31 @@ am::AppendMemory build_history(u32 n, u32 history, u64 seed) {
   return memory;
 }
 
+/// A history as a runner's records: the memory's append order, each
+/// reference as the position of the record it names.
+struct Records {
+  std::vector<chain::BlockRecord> blocks;
+  std::vector<usize> pool;
+};
+Records as_records(const am::AppendMemory& memory) {
+  const am::MemoryView view = memory.read();
+  const std::vector<am::MsgId> order = am::merge_append_order(memory, {}, view.lens());
+  std::vector<std::vector<usize>> position(view.register_count());
+  Records out;
+  for (const am::MsgId id : order) {
+    const am::Message& m = memory.msg(id);
+    chain::BlockRecord rec;
+    rec.id = id;
+    rec.time = m.appended_at;
+    rec.ref_off = out.pool.size();
+    rec.ref_count = m.refs.size();
+    for (const am::MsgId ref : m.refs) out.pool.push_back(position[ref.author][ref.seq]);
+    position[id.author].push_back(out.blocks.size());
+    out.blocks.push_back(rec);
+  }
+  return out;
+}
+
 /// The growing views a protocol observes: `rounds` evenly spaced prefixes
 /// of the history, ending at the full view.
 std::vector<am::MemoryView> observation_views(const am::AppendMemory& memory, u32 history,
@@ -277,15 +302,19 @@ int main(int argc, char** argv) {
          "sort vs round-by-round cursor:");
 
   // --- Decision rules on the final graph -------------------------------
-  // The graph builds its topological order, GHOST weights and child lists
-  // lazily, on first access. "cold build" times that first access alone,
-  // each rep on a fresh graph built outside the timer; the rule columns then
-  // run warm. Every figure is the min and the median of the same fixed
-  // number of timed calls at every history, so rows compare like for like.
+  // Each build stage is timed on its own. "records build" times the graph's
+  // structure built from the history as runner records (what the exact DAG
+  // decision does). The graph builds its topological order, GHOST weights
+  // and child lists lazily, on first access; "cold build" times that first
+  // access alone, each rep on a fresh graph built outside the timer; the
+  // rule columns then run warm. Every figure is the min and the median of
+  // the same fixed number of timed calls at every history, so rows compare
+  // like for like.
   constexpr int kRuleReps = 7;
-  Table rules({"n", "history", "cold build min [ms]", "cold build med [ms]",
-               "ghost pivot min [ms]", "ghost pivot med [ms]", "longest pivot min [ms]",
-               "longest pivot med [ms]", "linearize min [ms]", "linearize med [ms]"});
+  Table rules({"n", "history", "records build min [ms]", "records build med [ms]",
+               "cold build min [ms]", "cold build med [ms]", "ghost pivot min [ms]",
+               "ghost pivot med [ms]", "longest pivot min [ms]", "longest pivot med [ms]",
+               "linearize min [ms]", "linearize med [ms]"});
   const auto build_lazy = [](const chain::BlockGraph& g) {
     g_sink = g_sink + g.topo_order().size() + g.subtree_weight(g.id_at(0));
   };
@@ -294,6 +323,10 @@ int main(int argc, char** argv) {
       const am::AppendMemory memory = build_history(n, history, h.seed + 2);
 
       std::optional<chain::BlockGraph> fresh;
+      const Records records = as_records(memory);
+      const Spread from_records = time_spread(
+          kRuleReps, [&] { fresh.reset(); },
+          [&] { fresh.emplace(n, records.blocks, records.pool); });
       const Spread cold = time_spread(
           kRuleReps, [&] { fresh.emplace(memory.read()); }, [&] { build_lazy(*fresh); });
       const chain::BlockGraph graph(memory.read());
@@ -309,7 +342,7 @@ int main(int argc, char** argv) {
       const Spread longest = warm(chain::PivotRule::kLongestChain, false);
       const Spread lin = warm(chain::PivotRule::kGhost, true);
       std::vector<std::string> row = {std::to_string(n), std::to_string(history)};
-      for (const Spread& sp : {cold, ghost, longest, lin}) {
+      for (const Spread& sp : {from_records, cold, ghost, longest, lin}) {
         row.push_back(fmt(sp.min_ms, 3));
         row.push_back(fmt(sp.med_ms, 3));
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "am/order.hpp"
 
@@ -20,7 +21,75 @@ void reserve_for(std::vector<T>& v, usize n) {
 
 }  // namespace
 
+BlockGraph::BlockGraph(u32 authors, std::span<const BlockRecord> records,
+                       std::span<const usize> ref_pool)
+    : records_built_(true) {
+  // Every array is allocated once, at its exact size: a records-built graph
+  // never grows. Per-author counts size the dense index.
+  index_.resize(authors);
+  {
+    std::vector<u32> per_author(authors, 0);
+    for (const BlockRecord& r : records) {
+      AMM_EXPECTS(r.id.author < authors);
+      ++per_author[r.id.author];
+    }
+    for (u32 a = 0; a < authors; ++a) index_[a].reserve(per_author[a]);
+  }
+  nodes_.reserve(records.size());
+  ref_pos_.resize(ref_pool.size());
+  ref_ids_.resize(ref_pool.size());
+
+  // Record i becomes position i and keeps its slots of the pool.
+  // References are positions already, each of an earlier record whose
+  // depth is settled, so parent and depth come straight from refs[0].
+  for (usize i = 0; i < records.size(); ++i) {
+    const BlockRecord& r = records[i];
+    AMM_EXPECTS(i == 0 || r.time >= records[i - 1].time);
+    AMM_EXPECTS(r.ref_off + r.ref_count <= ref_pool.size());
+    add_node(r.id, r.time, r.ref_off);
+    Node& n = nodes_.back();
+    for (usize j = r.ref_off; j < r.ref_off + r.ref_count; ++j) {
+      const usize q = ref_pool[j];
+      AMM_EXPECTS(q < i);
+      ref_pos_[j] = static_cast<u32>(q);
+      ref_ids_[j] = nodes_[q].id;
+    }
+    n.ref_count = static_cast<u32>(r.ref_count);
+    n.parent = r.ref_count == 0 ? kNoPos : ref_pos_[r.ref_off];
+    n.depth = r.ref_count == 0 ? 1 : nodes_[n.parent].depth + 1;
+  }
+
+  // Canonical (appended_at, id) order. Append times never decrease, so the
+  // records are in that order except inside a run of equal times, where
+  // blocks of different authors can come against id order (a runner may
+  // append a block of author 5 and then one of author 2 at the same
+  // instant). Sorting each such run restores it.
+  order_.resize(records.size());
+  std::iota(order_.begin(), order_.end(), 0u);
+  for (usize lo = 0, hi = 0; lo < order_.size(); lo = hi) {
+    hi = lo + 1;
+    while (hi < order_.size() && nodes_[hi].time == nodes_[lo].time) ++hi;
+    if (hi - lo > 1) {
+      std::sort(order_.begin() + static_cast<std::ptrdiff_t>(lo),
+                order_.begin() + static_cast<std::ptrdiff_t>(hi),
+                [this](u32 a, u32 b) { return key_less(a, b); });
+    }
+  }
+  recompute_frontier();
+}
+
+void BlockGraph::add_node(MsgId id, SimTime time, usize ref_off) {
+  AMM_EXPECTS(index_[id.author].size() == id.seq);
+  index_[id.author].push_back(static_cast<u32>(nodes_.size()));
+  Node n;
+  n.id = id;
+  n.time = time;
+  n.ref_off = static_cast<u32>(ref_off);
+  nodes_.push_back(n);
+}
+
 void BlockGraph::extend(const MemoryView& newer) {
+  AMM_EXPECTS(!records_built_);
   AMM_EXPECTS(newer.valid());
   if (!view_.valid()) {
     // First extension binds the graph to the view's memory.
@@ -46,14 +115,8 @@ void BlockGraph::extend(const MemoryView& newer) {
   reserve_for(order_, first_new + delta.size());
   usize pool = ref_pos_.size();
   for (const MsgId id : delta) {
-    AMM_ASSERT(index_[id.author].size() == id.seq);
-    index_[id.author].push_back(static_cast<u32>(nodes_.size()));
     const Message& m = view_.msg(id);
-    Node n;
-    n.id = id;
-    n.time = m.appended_at;
-    n.ref_off = static_cast<u32>(pool);
-    nodes_.push_back(n);
+    add_node(id, m.appended_at, pool);
     pool += m.refs.size();
   }
   reserve_for(ref_pos_, pool);

@@ -31,6 +31,13 @@
 // subset of reference edges, so every child precedes its parent there.
 // MsgId mirrors of the reference pool, the child lists and the order back
 // the id-valued accessors.
+//
+// A graph can also be built straight from a Monte-Carlo runner's
+// append-ordered records (BlockRecord), with no memory behind it: position
+// i is record i, every reference is already a position, so parents and
+// depths are read off in one pass and each array is allocated once at its
+// exact size. Such a graph has no view; it cannot be extended and holds no
+// messages.
 #pragma once
 
 #include <span>
@@ -49,6 +56,16 @@ using am::MsgId;
 /// Sentinel id for the virtual root block.
 inline constexpr MsgId kRootId{~u32{0}, ~u32{0}};
 
+/// One block of a runner's records, for BlockGraph's records constructor:
+/// its id, its append time and its references, which are positions of
+/// earlier records stored in a shared pool, the parent first.
+struct BlockRecord {
+  MsgId id;
+  SimTime time = 0.0;
+  usize ref_off = 0;    ///< this block's references in the pool ...
+  usize ref_count = 0;  ///< ... and how many there are
+};
+
 class BlockGraph {
  public:
   /// Position of the virtual root in the positional accessors.
@@ -61,12 +78,22 @@ class BlockGraph {
   /// registers + refs).
   explicit BlockGraph(const MemoryView& view) { extend(view); }
 
+  /// Builds the graph of `records`, given in append order, over `authors`
+  /// registers; `ref_pool` holds the references the records point into.
+  /// The records must be appends a memory would accept: authors in range,
+  /// per-author seqs 0, 1, 2, ..., append times non-decreasing, references
+  /// to earlier records only. Record i is position i. Every id-valued
+  /// accessor and analytic is bit-identical to BlockGraph(memory.read())
+  /// for a memory holding the same appends. O(records + refs), plus a sort
+  /// of each run of records with equal append times.
+  BlockGraph(u32 authors, std::span<const BlockRecord> records, std::span<const usize> ref_pool);
+
   /// Ingests every message visible in `newer` but not in the current view.
   /// `newer` must be a superset view of the same memory (views only grow).
-  /// Postcondition: *this is bit-identical to BlockGraph(newer).
+  /// Postcondition: *this is bit-identical to BlockGraph(newer). Not
+  /// available on a records-built graph.
   void extend(const MemoryView& newer);
 
-  const MemoryView& view() const { return view_; }
   usize block_count() const { return nodes_.size(); }  // excludes the root
 
   bool contains(MsgId id) const {
@@ -111,7 +138,11 @@ class BlockGraph {
     return {ref_ids_.data() + n.ref_off, n.ref_count};
   }
 
-  const Message& msg(MsgId id) const { return view_.msg(id); }
+  /// The message of block `id` (not on a records-built graph).
+  const Message& msg(MsgId id) const {
+    AMM_EXPECTS(!records_built_);
+    return view_.msg(id);
+  }
 
   /// Maximum depth over all blocks (0 if the view is empty).
   u32 max_depth() const { return max_depth_; }
@@ -193,6 +224,10 @@ class BlockGraph {
     return {child_ids_.data() + child_off_[b], child_off_[b + 1] - child_off_[b]};
   }
 
+  /// Appends block `id` at the next position, its reference slots starting
+  /// at `ref_off` in the pool: its node (no parent or depth yet) and its
+  /// index entry. Each author's blocks must come in seq order.
+  void add_node(MsgId id, SimTime time, usize ref_off);
   /// Writes the visible references of block `pos` into its pool slots and
   /// returns its parent position; references outside the view are parked
   /// in pending_ when `park` is set.
@@ -209,6 +244,7 @@ class BlockGraph {
   void build_children() const;
 
   MemoryView view_;
+  bool records_built_ = false;           // built from records: no view_
   std::vector<Node> nodes_;              // ingestion order; positions stable
   std::vector<std::vector<u32>> index_;  // [author][seq] -> position (dense)
   std::vector<u32> order_;               // positions in (appended_at, id) order

@@ -23,21 +23,34 @@ namespace {
 /// rescanning the history on every append (that would make trials
 /// quadratic in the cut size k); an update costs O(refs + tips). The lists
 /// hold local indices in ascending append order, which parent_first's tie
-/// toward the oldest tip relies on. The records are the source of truth;
-/// the append memory is a mirror caught up only when read (memory()).
+/// toward the oldest tip relies on. The records are the source of truth:
+/// the exact decision builds its BlockGraph straight from them (graph()),
+/// and the append memory is a mirror caught up only for the audit hooks.
 class DagState {
  public:
-  explicit DagState(u32 node_count) : mirror_(node_count) {}
+  /// A state for `node_count` authors, its records reserved for
+  /// `expected_blocks` (a trial appends about k blocks).
+  DagState(u32 node_count, usize expected_blocks)
+      : node_count_(node_count), mirror_(node_count) {
+    blocks_.reserve(expected_blocks);
+    recs_.reserve(expected_blocks);
+  }
 
   /// The append memory holding every block so far, caught up on demand:
-  /// only the exact-ordering decision and the audit hook read it.
+  /// only the audit hooks read it.
   am::AppendMemory& memory() {
-    return mirror_.catch_up(recs_.size(), [&](usize i, std::vector<am::MsgId>& refs) {
-      refs.reserve(recs_[i].ref_count);
-      for (const usize r : refs_of(i)) refs.push_back(recs_[r].id);
-      return MirroredBlock{recs_[i].id, recs_[i].vote, recs_[i].time};
+    return mirror_.catch_up(blocks_.size(), [&](usize i, std::vector<am::MsgId>& refs) {
+      refs.reserve(blocks_[i].ref_count);
+      for (const usize r : refs_of(i)) refs.push_back(blocks_[r].id);
+      return MirroredBlock{blocks_[i].id, recs_[i].vote, blocks_[i].time};
     });
   }
+
+  /// The block graph of every block so far, built from the records: the
+  /// graph's position i is record i.
+  chain::BlockGraph graph() const { return chain::BlockGraph(node_count_, blocks_, ref_pool_); }
+
+  Vote vote(usize i) const { return recs_[i].vote; }
 
   /// Invariant audit hook (no-op unless AMM_AUDIT): append-only growth and
   /// prefix immutability of the mirrored memory, monotone observed views,
@@ -53,24 +66,38 @@ class DagState {
     }
   }
 
+  /// Audit cross-check of the exact decision (no-op unless AMM_AUDIT): the
+  /// graph of the mirrored memory linearizes to the same `order`, and each
+  /// of its first `cut` blocks has the vote in the memory that its record
+  /// has in `graph`.
+  void audit_decision(const chain::BlockGraph& graph, const std::vector<am::MsgId>& order,
+                      u32 cut, chain::PivotRule rule) {
+    if constexpr (check::kAuditEnabled) {
+      const am::MemoryView view = memory().read();
+      AMM_ASSERT(chain::linearize_dag(chain::BlockGraph(view), rule) == order);
+      for (u32 i = 0; i < cut; ++i) {
+        AMM_ASSERT(view.msg(order[i]).value == vote(graph.index_of(order[i])));
+      }
+    }
+  }
+
   /// Appends a block referencing `refs` (local indices; refs[0] = parent).
   usize append(NodeId author, Vote vote, std::span<const usize> refs, SimTime now) {
-    Rec rec;
-    rec.id = mirror_.assign(author, now, refs, recs_.size());
-    rec.vote = vote;
-    rec.time = now;
-    rec.depth = refs.empty() ? 1 : recs_[refs.front()].depth + 1;
-    rec.ref_off = ref_pool_.size();
-    rec.ref_count = refs.size();
+    chain::BlockRecord block;
+    block.id = mirror_.assign(author, now, refs, blocks_.size());
+    block.time = now;
+    block.ref_off = ref_pool_.size();
+    block.ref_count = refs.size();
     ref_pool_.insert(ref_pool_.end(), refs.begin(), refs.end());
-    recs_.push_back(rec);
+    blocks_.push_back(block);
+    recs_.push_back(Rec{vote, refs.empty() ? 1 : recs_[refs.front()].depth + 1});
 
-    const usize idx = recs_.size() - 1;
+    const usize idx = blocks_.size() - 1;
     advance_frontier(true_tips_, idx, refs);
     return idx;
   }
 
-  usize size() const { return recs_.size(); }
+  usize size() const { return blocks_.size(); }
 
   /// References for a block on the true current tips (the adversary's
   /// rushing view), parent first.
@@ -80,7 +107,7 @@ class DagState {
   /// (correct nodes' stale read), parent first. The stale frontier only
   /// moves forward; callers must pass non-decreasing horizons.
   std::span<const usize> stale_refs(SimTime horizon) {
-    while (stale_ptr_ < recs_.size() && recs_[stale_ptr_].time < horizon) {
+    while (stale_ptr_ < blocks_.size() && blocks_[stale_ptr_].time < horizon) {
       advance_frontier(stale_tips_, stale_ptr_, refs_of(stale_ptr_));
       ++stale_ptr_;
     }
@@ -89,17 +116,14 @@ class DagState {
   }
 
  private:
+  /// What the runner alone reads of a block; blocks_ holds the rest.
   struct Rec {
-    am::MsgId id;
     Vote vote = Vote::kPlus;
-    SimTime time = 0.0;
     u32 depth = 1;
-    usize ref_off = 0;  // this block's references in ref_pool_
-    usize ref_count = 0;
   };
 
   std::span<const usize> refs_of(usize i) const {
-    return {ref_pool_.data() + recs_[i].ref_off, recs_[i].ref_count};
+    return {ref_pool_.data() + blocks_[i].ref_off, blocks_[i].ref_count};
   }
 
   /// Copies ascending `tips` into a reused buffer with the parent
@@ -132,17 +156,19 @@ class DagState {
   bool same_blocks(const std::vector<usize>& tips, std::vector<am::MsgId> ids) const {
     std::vector<am::MsgId> mine;
     mine.reserve(tips.size());
-    for (const usize i : tips) mine.push_back(recs_[i].id);
+    for (const usize i : tips) mine.push_back(blocks_[i].id);
     std::sort(mine.begin(), mine.end());
     std::sort(ids.begin(), ids.end());
     return mine == ids;
   }
 
+  u32 node_count_;
   MemoryMirror mirror_;
   check::MemoryAuditor auditor_;
-  std::vector<Rec> recs_;
-  std::vector<usize> ref_pool_;  // every block's references, back to back
-  std::vector<usize> ref_buf_;   // the reference list being built
+  std::vector<chain::BlockRecord> blocks_;  // id, time, references (into ref_pool_)
+  std::vector<Rec> recs_;                   // vote and depth, by the same index
+  std::vector<usize> ref_pool_;             // every block's references, back to back
+  std::vector<usize> ref_buf_;              // the reference list being built
   std::vector<usize> true_tips_;
   std::vector<usize> stale_tips_;
   usize stale_ptr_ = 0;
@@ -158,7 +184,7 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
   s.validate();
   AMM_EXPECTS(params.k > 0 && params.k % 2 == 1);
 
-  DagState st(s.n);
+  DagState st(s.n, params.k);
   std::optional<sched::TokenAuthority> equal_rates;
   std::optional<sched::WeightedTokenAuthority> weighted;
   if (params.weights.empty()) {
@@ -209,19 +235,19 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
 
   auto decide_full = [&] {
     // Exact Algorithm 6 lines 9–10: linearize the whole DAG along the
-    // pivot chain and take the first k values of the ordering.
-    const am::MemoryView view = st.memory().read();
-    const chain::BlockGraph graph(view);
+    // pivot chain and take the first k values of the ordering. The graph
+    // is built from the records, so a block's position is its record.
+    const chain::BlockGraph graph = st.graph();
     check::check_graph(graph);
     const std::vector<am::MsgId> order = chain::linearize_dag(graph, params.pivot_rule);
     i64 sum = 0;
     u64 byz_in_cut = 0;
     const u32 cut = std::min<u32>(params.k, static_cast<u32>(order.size()));
     for (u32 i = 0; i < cut; ++i) {
-      const am::Message& m = view.msg(order[i]);
-      sum += vote_value(m.value);
-      if (s.is_byzantine(NodeId{m.id.author})) ++byz_in_cut;
+      sum += vote_value(st.vote(graph.index_of(order[i])));
+      if (s.is_byzantine(NodeId{order[i].author})) ++byz_in_cut;
     }
+    st.audit_decision(graph, order, cut, params.pivot_rule);
     Outcome& out = result.outcome;
     out.terminated = true;
     out.decisions.assign(s.correct_count(), sign_decision(sum));

@@ -1,13 +1,13 @@
 // The append memory behind a Monte-Carlo runner, kept as a lazy mirror.
 //
 // The chain and DAG runners (chain_ba.cpp, dag_ba.cpp) keep their own flat,
-// append-ordered block records, and every decision they make reads those.
-// An am::AppendMemory holding the same blocks is read only by the exact
-// ordering decision (BlockGraph, Algorithm 6 line 9) and by the AMM_AUDIT
-// hooks. So a runner writes each block once, into its records: it takes the
-// block's MsgId from assign(), which makes the checks AppendMemory::append
-// would make, and the memory catches up on those records only when
-// something reads it. Catching up appends the same blocks in the same order
+// append-ordered block records, and every decision they make reads those;
+// the exact ordering decision (Algorithm 6 line 9) builds its BlockGraph
+// from them too. An am::AppendMemory holding the same blocks is read only
+// by the AMM_AUDIT hooks. So a runner writes each block once, into its
+// records: it takes the block's MsgId from assign(), which makes the checks
+// AppendMemory::append would make, and the memory catches up on those
+// records only when an audit hook reads it. Catching up appends the same blocks in the same order
 // at the same times, so the memory and every graph built from it are the
 // ones eager mirroring would give.
 #pragma once

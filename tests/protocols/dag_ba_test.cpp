@@ -128,6 +128,27 @@ TEST(DagBa, FullOrderingCloseToFastPathUnderRateAttack) {
   }
 }
 
+TEST(DagBa, FullOrderingMatchesFastPathWithBankedPublishTies) {
+  // The rate-and-withhold adversary publishes its banked blocks (last
+  // node) and then the correct block at one instant, so the exact decision
+  // gets records against (time, id) order, and the graph must sort them
+  // back: these trials linearize differently without that sort. Under
+  // AMM_AUDIT every exact decision is checked against the graph of the
+  // memory; here it must also decide as the fast path does.
+  for (const chain::PivotRule rule : {chain::PivotRule::kGhost, chain::PivotRule::kLongestChain}) {
+    for (u64 seed = 0; seed < 10; ++seed) {
+      auto fast = make(4, 1, 101, 0.5, DagAdversary::kRateAndWithhold);
+      fast.pivot_rule = rule;
+      auto full = fast;
+      full.full_ordering = true;
+      const DagResult a = run_dag_continuous(fast, Rng(seed));
+      const DagResult b = run_dag_continuous(full, Rng(seed));
+      EXPECT_EQ(a.outcome.decisions, b.outcome.decisions);
+      EXPECT_EQ(a.outcome.byz_in_decision_set, b.outcome.byz_in_decision_set);
+    }
+  }
+}
+
 TEST(DagBa, GhostAndLongestChainAgreeOnValidityDirection) {
   for (const chain::PivotRule rule : {chain::PivotRule::kGhost, chain::PivotRule::kLongestChain}) {
     auto params = make(10, 3, 51, 1.0);
