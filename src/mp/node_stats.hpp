@@ -5,7 +5,8 @@
 // signature rejects and registry checks, reads and fallbacks, parked
 // rejects, recovery replay, the checkpoint's fold count, live records,
 // and the storage seam's log bytes and snapshot count. The host adds the
-// five it alone knows: msgs, bytes, reconnects, auth_rejects, rss_kb.
+// six it alone knows: msgs, bytes, reconnects, auth_rejects, rss_kb and
+// writes.
 //
 // kNodeStatsFields is the single source of truth: the control-plane codec
 // (net/codec.cpp), amm_ctl's `stats` printout, amm_swarm's per-node table
@@ -48,6 +49,7 @@ struct NodeStats {
   u64 log_bytes = 0;       ///< bytes in the durable append log (0 without --store-dir)
   u64 snapshot_count = 0;  ///< snapshots loaded at open plus written since
   u64 recovery_replayed_records = 0;  ///< records replayed from disk at startup
+  u64 writes = 0;          ///< socket write syscalls (writev chains) the transport made
 };
 
 /// One row of the serialization table: script-facing name plus the member
@@ -79,6 +81,7 @@ inline constexpr NodeStatsField kNodeStatsFields[] = {
     {"log_bytes", &NodeStats::log_bytes},
     {"snapshot_count", &NodeStats::snapshot_count},
     {"recovery_replayed_records", &NodeStats::recovery_replayed_records},
+    {"writes", &NodeStats::writes},
 };
 
 inline constexpr usize kNodeStatsFieldCount = std::size(kNodeStatsFields);

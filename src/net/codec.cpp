@@ -372,8 +372,18 @@ const char* ctl_status_name(CtlStatus status) {
   return "unknown";
 }
 
-std::vector<u8> encode_ctl_reply(const CtlReply& rep) {
-  Encoder enc;
+namespace {
+
+/// Exact payload size of a ctl reply: fixed header, the view's records
+/// and one u64 per stats field.
+usize ctl_reply_size(const CtlReply& rep) {
+  return 1 + 1 + 1 + 8 + 4 + 4 + rep.view.size() * mp::kWireRecordBytes +
+         mp::kNodeStatsFieldCount * 8;
+}
+
+/// Shared body writer: encode_ctl_reply and encode_framed_ctl_reply differ
+/// only in what surrounds the payload.
+void encode_ctl_reply_body(Encoder& enc, const CtlReply& rep) {
   enc.put_u8(static_cast<u8>(rep.op));
   enc.put_u8(rep.ok ? 1 : 0);
   enc.put_u8(static_cast<u8>(rep.status));
@@ -384,6 +394,27 @@ std::vector<u8> encode_ctl_reply(const CtlReply& rep) {
   // One u64 per NodeStats field, in kNodeStatsFields order — the field
   // table is the single source of truth for the stats wire layout.
   for (const mp::NodeStatsField& f : mp::kNodeStatsFields) enc.put_u64(rep.stats.*f.member);
+}
+
+}  // namespace
+
+std::vector<u8> encode_ctl_reply(const CtlReply& rep) {
+  Encoder enc;
+  enc.reserve(ctl_reply_size(rep));
+  encode_ctl_reply_body(enc, rep);
+  AMM_ENSURES(enc.bytes().size() == ctl_reply_size(rep));
+  return enc.take();
+}
+
+std::vector<u8> encode_framed_ctl_reply(const CtlReply& rep) {
+  const usize len = 1 + ctl_reply_size(rep);  // frame kind byte + payload
+  AMM_EXPECTS(len <= kMaxFrameBytes);
+  Encoder enc;
+  enc.reserve(kFrameHeaderBytes + len);
+  enc.put_u32(static_cast<u32>(len));
+  enc.put_u8(static_cast<u8>(FrameKind::kCtlRep));
+  encode_ctl_reply_body(enc, rep);
+  AMM_ENSURES(enc.bytes().size() == kFrameHeaderBytes + len);
   return enc.take();
 }
 

@@ -166,6 +166,10 @@ struct CtlReply {
 std::vector<u8> encode_ctl_request(const CtlRequest& req);
 std::optional<CtlRequest> decode_ctl_request(std::span<const u8> payload);
 std::vector<u8> encode_ctl_reply(const CtlReply& rep);
+/// Encodes [u32 len][kCtlRep kind][payload] in one exactly-sized
+/// allocation — send_ctl_reply's path, with no payload-to-frame copy.
+/// Byte-identical to append_frame(kCtlRep, encode_ctl_reply(rep)).
+std::vector<u8> encode_framed_ctl_reply(const CtlReply& rep);
 std::optional<CtlReply> decode_ctl_reply(std::span<const u8> payload);
 
 // ---- framing ----

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstring>
 #include <memory>
+#include <tuple>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -367,7 +368,7 @@ bool TcpTransport::handle_frame(Session& session, const FrameView& frame) {
       if (session.state != SessionState::kProtocol || session.outbound) return false;
       auto msg = decode_message(frame.payload);
       if (!msg) return false;  // corrupt payload: drop the connection
-      pending_msgs_.push_back(PendingMessage{session.peer, std::move(*msg)});
+      pending_msgs_.push_back(PendingMessage{session.peer, pending_msgs_.size(), std::move(*msg)});
       return true;
     }
     case FrameKind::kCtlReq: {
@@ -387,11 +388,16 @@ bool TcpTransport::handle_frame(Session& session, const FrameView& frame) {
 void TcpTransport::dispatch_pending() {
   // Deterministic dispatch: by author, stable — per-session FIFO (the one
   // order TCP guarantees) is preserved, and the sequence no longer depends
-  // on which backend fired or in what order fds became ready.
-  std::stable_sort(pending_msgs_.begin(), pending_msgs_.end(),
-                   [](const PendingMessage& a, const PendingMessage& b) {
-                     return a.from.index < b.from.index;
-                   });
+  // on which backend fired or in what order fds became ready. Arrival
+  // order breaks ties, so the in-place std::sort gives stable_sort's order
+  // without its per-call temporary buffer; an already ordered batch (one
+  // author, or sessions drained in author order) skips the sort.
+  const auto in_order = [](const PendingMessage& a, const PendingMessage& b) {
+    return std::tie(a.from.index, a.arrival) < std::tie(b.from.index, b.arrival);
+  };
+  if (!std::is_sorted(pending_msgs_.begin(), pending_msgs_.end(), in_order)) {
+    std::sort(pending_msgs_.begin(), pending_msgs_.end(), in_order);
+  }
   for (const PendingMessage& pending : pending_msgs_) {
     if (handler_) handler_(pending.from, pending.msg);
   }
@@ -406,10 +412,10 @@ void TcpTransport::send_ctl_reply(u64 session_id, const CtlReply& reply) {
   if (it == by_token_.end()) return;  // session gone: drop the reply
   Session& session = *it->second;
   if (session.state != SessionState::kCtl) return;
-  std::vector<u8> frame;
-  append_frame(frame, FrameKind::kCtlRep, encode_ctl_reply(reply));
-  session.queue_frame(TxClass::kCtl, std::move(frame));
-  flush_and_sync(session);
+  // Queue only: the cycle's flush writes every reply this session gained
+  // in the same cycle with one writev, however many ops completed.
+  session.queue_frame(TxClass::kCtl, encode_framed_ctl_reply(reply));
+  mark_dirty(session);
 }
 
 void TcpTransport::mark_dirty(Session& session) {

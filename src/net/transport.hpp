@@ -15,7 +15,11 @@
 // descriptor. Sessions with queued output are tracked on a dirty list and
 // flushed through bounded writev chains (peer.hpp) — one syscall per
 // batch of small frames — with POLLOUT interest maintained only while
-// bytes remain.
+// bytes remain. send(), broadcast() and send_ctl_reply() only queue; a
+// socket is written in exactly two places: the dirty-list flushes of
+// each cycle (one before the wait, one after dispatch) and a writable
+// event. So the replies to every op that completes on one ctl session in
+// a cycle leave in one writev.
 //
 // Message dispatch is deterministic per author: every decoded kMsg frame
 // is queued as it is read, unchecked — the hosted node verifies each
@@ -139,7 +143,11 @@ class TcpTransport final : public mp::Transport {
   // control plane (amm_node side)
   using CtlHandler = std::function<void(u64 session_id, const CtlRequest&)>;
   void set_ctl_handler(CtlHandler handler) { ctl_handler_ = std::move(handler); }
-  /// Queues a reply to a ctl session; no-op if the session is gone.
+  /// Queues a reply to a ctl session and marks it dirty; no-op if the
+  /// session is gone. Nothing is written here: a reply queued inside a
+  /// cycle leaves with that cycle's post-dispatch flush, one queued
+  /// between cycles (amm_node's op pump) with the next poll_once's flush
+  /// before it waits.
   void send_ctl_reply(u64 session_id, const CtlReply& reply);
 
   // observability
@@ -174,6 +182,7 @@ class TcpTransport final : public mp::Transport {
   /// One decoded kMsg awaiting this cycle's dispatch.
   struct PendingMessage {
     NodeId from;
+    usize arrival;  ///< position in the cycle's read order (sort tie-break)
     mp::WireMessage msg;
   };
 

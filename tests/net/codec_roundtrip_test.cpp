@@ -250,7 +250,7 @@ TEST(CodecRoundTrip, CtlReplyEveryTruncationOffsetRejected) {
     EXPECT_EQ(decoded->stats.verify_cache_hits, 12u);
     // Pin the last NodeStats field: a field appended to the struct but not
     // the field table shows up here as a dropped value.
-    EXPECT_EQ(decoded->stats.recovery_replayed_records, mp::kNodeStatsFieldCount);
+    EXPECT_EQ(decoded->stats.writes, mp::kNodeStatsFieldCount);
     expect_prefix_and_suffix_rejection(
         bytes, [](std::span<const u8> b) { return decode_ctl_reply(b); }, "decode_ctl_reply");
   }

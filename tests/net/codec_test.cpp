@@ -233,6 +233,37 @@ TEST(Codec, FramedMessageMatchesAppendFrame) {
   }
 }
 
+TEST(Codec, FramedCtlReplyMatchesAppendFrame) {
+  // send_ctl_reply's single-allocation path must emit exactly the bytes
+  // append_frame(kCtlRep, encode_ctl_reply(r)) would, for every reply shape.
+  Rng rng(27);
+  CtlReply append_reply;
+  append_reply.op = CtlOp::kAppend;
+  append_reply.ok = true;
+  append_reply.status = CtlStatus::kOk;
+
+  CtlReply read_reply;
+  read_reply.op = CtlOp::kRead;
+  read_reply.ok = true;
+  read_reply.status = CtlStatus::kOk;
+  for (int i = 0; i < 7; ++i) read_reply.view.push_back(make_record(rng, 4));
+
+  CtlReply stats_reply;
+  stats_reply.op = CtlOp::kStats;
+  stats_reply.ok = true;
+  stats_reply.status = CtlStatus::kOk;
+  for (usize i = 0; i < mp::kNodeStatsFieldCount; ++i) {
+    stats_reply.stats.*mp::kNodeStatsFields[i].member = rng.next();
+  }
+
+  for (const CtlReply* reply : {&append_reply, &read_reply, &stats_reply}) {
+    std::vector<u8> framed_twice;
+    append_frame(framed_twice, FrameKind::kCtlRep, encode_ctl_reply(*reply));
+    EXPECT_EQ(encode_framed_ctl_reply(*reply), framed_twice)
+        << "op=" << static_cast<int>(reply->op);
+  }
+}
+
 TEST(Codec, RecordSpanVariantsMatchEncoderPath) {
   // encode_record_to/decode_record_from are the zero-copy twins of the
   // Encoder/Decoder path: byte-identical output, identical parse.
@@ -418,6 +449,7 @@ TEST(Codec, CtlRoundTrips) {
   EXPECT_EQ(rep->stats.log_bytes, 19u);
   EXPECT_EQ(rep->stats.snapshot_count, 20u);
   EXPECT_EQ(rep->stats.recovery_replayed_records, 21u);
+  EXPECT_EQ(rep->stats.writes, 22u);
   EXPECT_TRUE(rep->ok);
   EXPECT_EQ(rep->status, CtlStatus::kOk);
 

@@ -1,11 +1,13 @@
 // EventLoop backend tests: unit semantics of both readiness backends, the
-// timeout-clamp regression, writev batching and two-class flush ordering,
-// per-peer backpressure, and the cross-backend parity suite — the same
-// transport workload must deliver the same per-author message sequences
-// and the same final ABD views whether epoll or poll is underneath.
+// timeout-clamp regression, writev batching (ctl replies included) and
+// two-class flush ordering, per-peer backpressure, and the cross-backend
+// parity suite — the same transport workload must deliver the same
+// per-author message sequences and the same final ABD views whether epoll
+// or poll is underneath.
 #include "net/event_loop.hpp"
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -13,8 +15,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <thread>
 
 #include "mp/abd.hpp"
 #include "net/peer.hpp"
@@ -566,6 +570,146 @@ TEST(TransportBatching, WritevCoalescesFrames) {
   }
   EXPECT_GT(writevs, 0u);
   EXPECT_LT(writevs, frames);  // strictly fewer syscalls than frames
+}
+
+/// A raw blocking ctl client (like amm_ctl) connected to `port`; -1 on failure.
+int connect_ctl_client(u16 port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(TransportBatching, CtlRepliesOfOneCycleShareAWrite) {
+  // K appends pipelined on one ctl connection complete together, so their
+  // replies leave in the cycle's flush: request order kept, and far fewer
+  // writes than replies. An inline flush per reply alone costs K writes.
+  constexpr i64 kAppends = 16;
+  BackendCluster cluster(3, LoopBackend::kAuto);
+  cluster.connect_all();
+  std::vector<std::unique_ptr<mp::AbdNode>> nodes;
+  for (u32 i = 0; i < 3; ++i) nodes.push_back(cluster.host(i));
+  TcpTransport& transport = *cluster.transports[0];
+  ASSERT_TRUE(cluster.pump_until([&] {
+    return cluster.transports[0]->connected_outbound() == 2 &&
+           cluster.transports[1]->connected_outbound() == 2 &&
+           cluster.transports[2]->connected_outbound() == 2;
+  }, 3000ms));
+
+  // Requests queue in the handler and start between cycles, as amm_node's
+  // op pump does; each reply echoes its request's value in `decision`.
+  std::deque<std::pair<u64, CtlRequest>> requests;
+  transport.set_ctl_handler(
+      [&](u64 session, const CtlRequest& req) { requests.emplace_back(session, req); });
+  const auto pump_ops = [&] {
+    while (!requests.empty()) {
+      const auto [session, req] = requests.front();
+      requests.pop_front();
+      nodes[0]->begin_append(req.value, [&transport, session, value = req.value] {
+        CtlReply done;
+        done.op = CtlOp::kAppend;
+        done.ok = true;
+        done.status = CtlStatus::kOk;
+        done.decision = value;
+        transport.send_ctl_reply(session, done);
+      });
+    }
+  };
+
+  const int client = connect_ctl_client(transport.listen_port());
+  ASSERT_GE(client, 0);
+  std::vector<u8> burst;
+  for (i64 v = 0; v < kAppends; ++v) {
+    CtlRequest req;
+    req.op = CtlOp::kAppend;
+    req.value = 100 + v;
+    append_frame(burst, FrameKind::kCtlReq, encode_ctl_request(req));
+  }
+  const u64 writes_before = transport.writev_calls();
+  ASSERT_EQ(::send(client, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+
+  std::vector<u8> rx;
+  std::vector<i64> replied;
+  ASSERT_TRUE(cluster.pump_until([&] {
+    pump_ops();
+    u8 chunk[4096];
+    for (ssize_t n; (n = ::recv(client, chunk, sizeof(chunk), MSG_DONTWAIT)) > 0;) {
+      rx.insert(rx.end(), chunk, chunk + n);
+    }
+    for (Frame frame; extract_frame(rx, &frame) == FrameStatus::kFrame;) {
+      EXPECT_EQ(frame.kind, FrameKind::kCtlRep);
+      const auto reply = decode_ctl_reply(frame.payload);
+      EXPECT_TRUE(reply.has_value() && reply->ok);
+      replied.push_back(reply ? reply->decision : -1);
+    }
+    return replied.size() >= static_cast<usize>(kAppends);
+  }));
+  ::close(client);
+
+  std::vector<i64> expected;
+  for (i64 v = 0; v < kAppends; ++v) expected.push_back(100 + v);
+  EXPECT_EQ(replied, expected);
+  // Every write node 0 made meanwhile, its broadcasts to both peers included.
+  EXPECT_LT(transport.writev_calls() - writes_before, static_cast<u64>(kAppends));
+}
+
+TEST(TransportBatching, CtlReplyQueuedBetweenCyclesLeavesBeforeTheWait) {
+  // A reply queued outside poll_once (amm_node's op pump answers stats and
+  // kick there) must be written by the next poll_once before it blocks:
+  // no socket event will wake the reactor to flush it afterwards.
+  for (const LoopBackend backend : available_backends()) {
+    BackendCluster cluster(2, backend);  // never dialed: no peer traffic
+    TcpTransport& transport = *cluster.transports[0];
+    u64 ctl_session = 0;
+    transport.set_ctl_handler([&](u64 session, const CtlRequest&) { ctl_session = session; });
+
+    const int client = connect_ctl_client(transport.listen_port());
+    ASSERT_GE(client, 0);
+    std::vector<u8> frame;
+    append_frame(frame, FrameKind::kCtlReq, encode_ctl_request(CtlRequest{}));
+    ASSERT_EQ(::send(client, frame.data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+    ASSERT_TRUE(cluster.pump_until([&] { return ctl_session != 0; }, 2000ms));
+
+    CtlReply reply;
+    reply.op = CtlOp::kStats;
+    reply.ok = true;
+    reply.status = CtlStatus::kOk;
+    transport.send_ctl_reply(ctl_session, reply);
+
+    // The client waits on its own thread; the reactor's thread blocks in
+    // one idle poll_once. Only a flush before the wait lands in time.
+    using Clock = std::chrono::steady_clock;
+    const auto start = Clock::now();
+    Clock::time_point arrived{};
+    std::thread reader([&] {
+      pollfd pfd{client, POLLIN, 0};
+      if (::poll(&pfd, 1, 5000) == 1) arrived = Clock::now();
+    });
+    transport.poll_once(1000ms);
+    reader.join();
+    ASSERT_NE(arrived, Clock::time_point{}) << "backend " << transport.backend_name();
+    EXPECT_LT(arrived - start, 500ms) << "backend " << transport.backend_name();
+
+    std::vector<u8> rx(4096);
+    const ssize_t n = ::recv(client, rx.data(), rx.size(), MSG_DONTWAIT);
+    ASSERT_GT(n, 0);
+    rx.resize(static_cast<usize>(n));
+    Frame got;
+    ASSERT_EQ(extract_frame(rx, &got), FrameStatus::kFrame);
+    const auto decoded = decode_ctl_reply(got.payload);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->op, CtlOp::kStats);
+    ::close(client);
+  }
 }
 
 }  // namespace

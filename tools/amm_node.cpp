@@ -237,6 +237,7 @@ int main(int argc, char** argv) {
           reply.stats.reconnects = transport.reconnects();
           reply.stats.auth_rejects = transport.auth_rejects();
           reply.stats.rss_kb = resident_kb();
+          reply.stats.writes = transport.writev_calls();
           transport.send_ctl_reply(item.session, reply);
           break;
         case net::CtlOp::kKick:

@@ -256,6 +256,26 @@ def logtool(args, *tool_args: str) -> tuple[int, str]:
     return proc.returncode, proc.stdout + proc.stderr
 
 
+def store_summary(args, store_dir: Path) -> str:
+    """One line from `amm_logtool dump`: the newest snapshot's log_seq and
+    the highest logged record (log_seq, author, seq). Recovery replays the
+    records from the snapshot's log_seq on, so a snapshot log_seq past the
+    highest record means it had nothing to replay."""
+    status, out = logtool(args, "dump", "--dir", str(store_dir))
+    snap_seq = "none"
+    top = None
+    for line in out.splitlines():
+        fields = dict(kv.split("=", 1) for kv in line.split()[1:] if "=" in kv)
+        if line.startswith("snapshot "):
+            snap_seq = fields.get("log_seq", "undecodable")
+        elif line.startswith("record ") and "log_seq" in fields:
+            if top is None or int(fields["log_seq"]) > int(top["log_seq"]):
+                top = fields
+    record = ("none" if top is None else
+              f"log_seq={top['log_seq']} author={top['author']} seq={top['seq']}")
+    return f"dump exit {status}: snapshot log_seq={snap_seq}, highest record {record}"
+
+
 def run_durable(args) -> None:
     """Crash-recovery gauntlet: SIGKILL mid-write, offline repair, restart
     with local replay + delta-only tail fetch (DESIGN.md §10)."""
@@ -329,7 +349,9 @@ def run_durable(args) -> None:
             raise ClusterError(f"steady read view {steady_view} != history {history}")
 
         # Restart on the repaired store. Recovery itself is local (snapshot
-        # + log replay); the wire pays only for the missed tail.
+        # + log replay); the wire pays only for the missed tail. The store's
+        # shape is summarized first: it is what recovery will start from.
+        restart_store = store_summary(args, store_dir)
         before_bytes = cluster.total_bytes()
         cluster.restart(target)
         deadline = time.monotonic() + 30
@@ -343,7 +365,8 @@ def run_durable(args) -> None:
 
         stats = cluster.stats(target)
         if stats.get("recovery_replayed_records", 0) == 0:
-            raise ClusterError(f"restarted node replayed nothing from its log: {stats}")
+            raise ClusterError(f"restarted node replayed nothing from its log: {stats}; "
+                               f"store at restart: {restart_store}")
         if stats.get("snapshot_count", 0) == 0:
             raise ClusterError(f"restarted node loaded/wrote no snapshot: {stats}")
         if stats.get("log_bytes", 0) == 0:
